@@ -38,7 +38,7 @@ int main() {
     if (pm) {
       c.pm_us = result.MeanResponseUs();
       c.piggybacked = result.piggybacked_controls;
-      c.overlapped = result.overlapped_flushes;
+      c.overlapped = result.flushes;
       c.coalesced = result.coalesced_checkpoints;
     } else {
       c.disk_us = result.MeanResponseUs();

@@ -45,7 +45,7 @@ void FrameScanStep(std::span<const std::byte> image, FrameScanState& state);
 [[nodiscard]] std::uint64_t FrameScanPrefix(std::span<const std::byte> image);
 
 // Fixed-position peek into an audit-record payload (layout written by
-// tp/audit.cc AuditRecord::SerializeInto): lsn u64, txn u64, type u32,
+// tp/audit.cc AuditRecordView::SerializeInto): lsn u64, txn u64, type u32,
 // file_id u32, key u64. Used by the device-side ShipReplay filter and
 // the VerifyScan last-LSN summary; tests assert it agrees with the tp
 // deserializer.

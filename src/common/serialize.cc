@@ -40,14 +40,20 @@ bool Deserializer::GetString(std::string& out) {
 }
 
 bool Deserializer::GetBlob(std::vector<std::byte>& out) {
+  std::span<const std::byte> view;
+  if (!GetBlobView(view)) return false;
+  out.assign(view.begin(), view.end());
+  return true;
+}
+
+bool Deserializer::GetBlobView(std::span<const std::byte>& out) noexcept {
   std::uint32_t n = 0;
   if (!GetU32(n)) return false;
   if (in_.size() - pos_ < n) {
     failed_ = true;
     return false;
   }
-  out.assign(in_.begin() + static_cast<std::ptrdiff_t>(pos_),
-             in_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  out = in_.subspan(pos_, n);
   pos_ += n;
   return true;
 }

@@ -108,6 +108,9 @@ class Deserializer {
   bool GetBytes(std::span<std::byte> dst) noexcept;
   bool GetString(std::string& out);
   bool GetBlob(std::vector<std::byte>& out);
+  // Length-prefixed blob as a view into the borrowed buffer (no copy;
+  // valid only while that buffer lives).
+  bool GetBlobView(std::span<const std::byte>& out) noexcept;
 
   [[nodiscard]] bool ok() const noexcept { return !failed_; }
   [[nodiscard]] std::size_t remaining() const noexcept {

@@ -105,11 +105,11 @@ Task<Status> AdpProcess::BufferRecords(std::span<const std::byte> payload,
     co_return Status(ErrorCode::kInvalidArgument, "bad audit batch");
   }
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::vector<std::byte> rec_bytes;
-    if (!d.GetBlob(rec_bytes)) {
+    std::span<const std::byte> rec_bytes;
+    if (!d.GetBlobView(rec_bytes)) {
       co_return Status(ErrorCode::kInvalidArgument, "bad audit batch");
     }
-    auto rec = AuditRecord::Deserialize(rec_bytes);
+    auto rec = AuditRecordView::Parse(rec_bytes);
     if (!rec) co_return Status(ErrorCode::kInvalidArgument, "bad record");
     rec->lsn = next_lsn_++;
     if (last_txn != nullptr) *last_txn = rec->txn;
@@ -220,11 +220,16 @@ Task<void> AdpProcess::FlushLoop() {
         durable_tail_ = target;
         durable_confirmed_ = std::max(durable_confirmed_, confirmed);
         ++flushes_;
-        ++overlapped_flushes_;
         flushed_bytes_ += batch_size;
-        auto& m = sim().metrics();
-        m.GetCounter("adp.flushes").Increment();
-        m.GetCounter("adp.flushed_bytes").Add(batch_size);
+        // Registered on the first successful flush, so flush-free runs
+        // export no adp.flush* counters.
+        if (flushes_counter_ == nullptr) {
+          flushes_counter_ = &sim().metrics().GetCounter("adp.flushes");
+          flushed_bytes_counter_ =
+              &sim().metrics().GetCounter("adp.flushed_bytes");
+        }
+        flushes_counter_->Increment();
+        flushed_bytes_counter_->Add(batch_size);
       }
       if (Tracer* tr = sim().tracer(); tr != nullptr && tr->enabled()) {
         tr->Complete(TraceLane::kAdp, "adp.flush_io", io_start.ns,
@@ -245,7 +250,11 @@ Task<void> AdpProcess::FlushLoop() {
         const auto wait_ns =
             static_cast<std::uint64_t>((sim().Now() - w.enqueued).ns);
         flush_latency_.Record(wait_ns);
-        sim().metrics().GetHistogram("adp.flush_latency_ns").Record(wait_ns);
+        if (flush_latency_hist_ == nullptr) {
+          flush_latency_hist_ =
+              &sim().metrics().GetHistogram("adp.flush_latency_ns");
+        }
+        flush_latency_hist_->Record(wait_ns);
         Serializer s;
         s.PutU64(durable_tail_);
         w.request.Respond(OkStatus(), std::move(s).Take());

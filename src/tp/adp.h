@@ -49,16 +49,14 @@ class AdpProcess : public nsk::PairMember {
              AdpConfig config = {});
 
   // ---- accounting ----
+  // Successful flushes; each overlaps its device append with the backup
+  // checkpoint.
   [[nodiscard]] std::uint64_t flushes() const noexcept { return flushes_; }
   [[nodiscard]] std::uint64_t flushed_bytes() const noexcept {
     return flushed_bytes_;
   }
   [[nodiscard]] std::uint64_t records_buffered() const noexcept {
     return records_buffered_;
-  }
-  // Flushes whose device append and backup checkpoint ran concurrently.
-  [[nodiscard]] std::uint64_t overlapped_flushes() const noexcept {
-    return overlapped_flushes_;
   }
   // kAdpBuffer checkpoints absorbed into an already-pending one.
   [[nodiscard]] std::uint64_t coalesced_checkpoints() const noexcept {
@@ -162,9 +160,12 @@ class AdpProcess : public nsk::PairMember {
   std::uint64_t flushes_ = 0;
   std::uint64_t flushed_bytes_ = 0;
   std::uint64_t records_buffered_ = 0;
-  std::uint64_t overlapped_flushes_ = 0;
   std::uint64_t coalesced_checkpoints_ = 0;
   LatencyHistogram flush_latency_;
+  // Registry handles, resolved on first use (see FlushLoop).
+  Counter* flushes_counter_ = nullptr;
+  Counter* flushed_bytes_counter_ = nullptr;
+  LatencyHistogram* flush_latency_hist_ = nullptr;
   sim::SimDuration last_recovery_time_{0};
 };
 

@@ -1,13 +1,26 @@
 #include "tp/audit.h"
 
 #include <cassert>
+#include <unordered_set>
 
 #include "common/crc32.h"
 #include "common/serialize.h"
 
 namespace ods::tp {
 
-void AuditRecord::SerializeInto(Serializer& s) const {
+std::optional<AuditRecordView> AuditRecordView::Parse(
+    std::span<const std::byte> bytes) noexcept {
+  Deserializer d(bytes);
+  AuditRecordView r;
+  if (!d.GetU64(r.lsn) || !d.GetU64(r.txn) || !d.GetEnum(r.type) ||
+      !d.GetU32(r.file_id) || !d.GetU64(r.key) ||
+      !d.GetBlobView(r.after_image) || !d.GetBlobView(r.before_image)) {
+    return std::nullopt;
+  }
+  return r;
+}
+
+void AuditRecordView::SerializeInto(Serializer& s) const {
   s.PutU64(lsn);
   s.PutU64(txn);
   s.PutEnum(type);
@@ -17,32 +30,25 @@ void AuditRecord::SerializeInto(Serializer& s) const {
   s.PutBlob(before_image);
 }
 
-std::vector<std::byte> AuditRecord::Serialize() const {
-  Serializer s;
-  s.Reserve(WireSize() - kFrameOverhead);
-  SerializeInto(s);
-  return std::move(s).Take();
-}
-
-std::optional<AuditRecord> AuditRecord::Deserialize(
-    std::span<const std::byte> bytes) {
-  Deserializer d(bytes);
-  AuditRecord r;
-  if (!d.GetU64(r.lsn) || !d.GetU64(r.txn) || !d.GetEnum(r.type) ||
-      !d.GetU32(r.file_id) || !d.GetU64(r.key) || !d.GetBlob(r.after_image) ||
-      !d.GetBlob(r.before_image)) {
-    return std::nullopt;
-  }
-  return r;
-}
-
-std::size_t AuditRecord::WireSize() const noexcept {
+std::size_t AuditRecordView::WireSize() const noexcept {
   // Header fields + two length-prefixed blobs + frame overhead.
   return 8 + 8 + 4 + 4 + 8 + 4 + after_image.size() + 4 +
          before_image.size() + kFrameOverhead;
 }
 
-void FrameRecord(const AuditRecord& rec, std::vector<std::byte>& out) {
+AuditRecordView AuditRecord::View() const noexcept {
+  return {lsn, txn, type, file_id, key, after_image, before_image};
+}
+
+std::vector<std::byte> AuditRecord::Serialize() const {
+  const AuditRecordView v = View();
+  Serializer s;
+  s.Reserve(v.WireSize() - kFrameOverhead);
+  v.SerializeInto(s);
+  return std::move(s).Take();
+}
+
+void FrameRecord(const AuditRecordView& rec, std::vector<std::byte>& out) {
   // Serialize straight into `out` — the payload size is known up front,
   // so the frame needs no temporary payload vector and at most one
   // reallocation of the accumulating buffer.
@@ -62,7 +68,7 @@ void FrameRecord(const AuditRecord& rec, std::vector<std::byte>& out) {
   out = std::move(s).Take();
 }
 
-std::optional<AuditRecord> LogScanner::Next() {
+std::optional<AuditRecordView> LogScanner::Next() noexcept {
   if (pos_ + 8 > image_.size()) return std::nullopt;
   Deserializer d(image_.subspan(pos_));
   std::uint32_t len = 0;
@@ -74,10 +80,31 @@ std::optional<AuditRecord> LogScanner::Next() {
   std::uint32_t stored = 0;
   (void)tail.GetU32(stored);
   if (Crc32c(payload) != stored) return std::nullopt;  // torn tail
-  auto rec = AuditRecord::Deserialize(payload);
+  auto rec = AuditRecordView::Parse(payload);
   if (!rec) return std::nullopt;
   pos_ += 4 + len + 4;
   return rec;
+}
+
+std::vector<AuditRecordView> CommittedUpdates(
+    std::span<const std::byte> image) {
+  // Commit records follow their updates, so collect every update and
+  // filter once the whole valid prefix — and with it the committed set —
+  // has been seen.
+  std::vector<AuditRecordView> updates;
+  std::unordered_set<std::uint64_t> committed;
+  LogScanner scan(image);
+  while (auto rec = scan.Next()) {
+    if (rec->type == AuditType::kCommit) {
+      committed.insert(rec->txn);
+    } else if (rec->type == AuditType::kUpdate) {
+      updates.push_back(*rec);
+    }
+  }
+  std::erase_if(updates, [&committed](const AuditRecordView& u) {
+    return !committed.contains(u.txn);
+  });
+  return updates;
 }
 
 }  // namespace ods::tp

@@ -33,6 +33,11 @@ const std::vector<std::byte>* Dp2Process::Peek(LockKey key) const {
   return it == table_.end() ? nullptr : &it->second;
 }
 
+void Dp2Process::Redo(const AuditRecordView& rec) {
+  table_[LockKey{rec.file_id, rec.key}].assign(rec.after_image.begin(),
+                                               rec.after_image.end());
+}
+
 void Dp2Process::ApplyWrite(std::uint64_t txn, LockKey key,
                             std::vector<std::byte> value) {
   auto& undo_list = undo_[txn];
@@ -289,7 +294,7 @@ Task<bool> Dp2Process::OffloadReplay() {
   LogScanner scan(*resp);
   std::uint64_t applied = 0;
   while (auto rec = scan.Next()) {
-    table_[LockKey{rec->file_id, rec->key}] = std::move(rec->after_image);
+    Redo(*rec);
     ++applied;
   }
   co_await Compute(config_.apply_cpu * static_cast<std::int64_t>(applied));
@@ -306,10 +311,7 @@ Task<void> Dp2Process::OnBecomePrimary(bool via_takeover) {
       if (image.ok()) {
         volume_tail_ = image->size();
         LogScanner scan(*image);
-        while (auto rec = scan.Next()) {
-          table_[LockKey{rec->file_id, rec->key}] =
-              std::move(rec->after_image);
-        }
+        while (auto rec = scan.Next()) Redo(*rec);
       }
     }
     if (config_.offload_replay && config_.partitions_per_file > 0 &&
@@ -321,29 +323,16 @@ Task<void> Dp2Process::OnBecomePrimary(bool via_takeover) {
     }
     auto log = co_await Call(config_.adp_service, kAdpReadLog, {});
     if (log.ok() && log->status.ok()) {
-      // Pass 1: which transactions committed?
-      std::set<std::uint64_t> committed;
-      {
-        LogScanner scan(log->payload);
-        while (auto rec = scan.Next()) {
-          if (rec->type == AuditType::kCommit) committed.insert(rec->txn);
-        }
-      }
-      // Pass 2: redo committed updates in LSN order. (The shared audit
-      // trail may contain records for sibling partitions; re-applying
-      // them here is idempotent and harmless — clients route by the
-      // partition map, so foreign keys are never served from this DP2.)
-      LogScanner scan(log->payload);
-      std::uint64_t applied = 0;
-      while (auto rec = scan.Next()) {
-        if (rec->type != AuditType::kUpdate || !committed.count(rec->txn)) {
-          continue;
-        }
-        table_[LockKey{rec->file_id, rec->key}] = std::move(rec->after_image);
-        ++applied;
-      }
+      // Redo committed updates in LSN order, from one scan of the trail.
+      // (The shared audit trail may contain records for sibling
+      // partitions; re-applying them here is idempotent and harmless —
+      // clients route by the partition map, so foreign keys are never
+      // served from this DP2.)
+      const std::vector<AuditRecordView> redo = CommittedUpdates(log->payload);
+      for (const AuditRecordView& rec : redo) Redo(rec);
       // Charge CPU for the redo pass.
-      co_await Compute(config_.apply_cpu * static_cast<std::int64_t>(applied));
+      co_await Compute(config_.apply_cpu *
+                       static_cast<std::int64_t>(redo.size()));
       state_valid_ = true;
     } else {
       ODS_WLOG("dp2", "%s: audit redo unavailable: %s", name().c_str(),

@@ -114,6 +114,9 @@ class Dp2Process : public nsk::PairMember {
   // Applies a mutation locally (both roles use this).
   void ApplyWrite(std::uint64_t txn, LockKey key,
                   std::vector<std::byte> value);
+  // Recovery: installs a record's after image (the only place a scanned
+  // image is copied).
+  void Redo(const AuditRecordView& rec);
   void Resolve(std::uint64_t txn, bool committed);
 
   Dp2Config config_;

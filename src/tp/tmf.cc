@@ -182,8 +182,7 @@ Task<void> TmfProcess::HandleCommit(Request& req) {
   if (!st.ok()) {
     co_await NoteState(txn, TxnState::kAborted);
     ResolveFanout(txn, false, dp2s);
-    ++aborts_;
-    sim().metrics().GetCounter("tmf.aborts").Increment();
+    CountOutcome(false);
     req.Respond(Status(ErrorCode::kAborted,
                        "audit flush failed: " + st.ToString()));
     if (tr != nullptr && tr->enabled()) {
@@ -192,14 +191,24 @@ Task<void> TmfProcess::HandleCommit(Request& req) {
     co_return;
   }
   co_await NoteState(txn, TxnState::kCommitted);
-  ++commits_;
-  sim().metrics().GetCounter("tmf.commits").Increment();
+  CountOutcome(true);
   req.Respond(OkStatus());
   if (tr != nullptr && tr->enabled()) {
     tr->AsyncEnd(TraceLane::kTmf, "txn.commit", sim().Now().ns, txn);
   }
   // Post-commit: lock release is off the response path.
   ResolveFanout(txn, true, dp2s);
+}
+
+void TmfProcess::CountOutcome(bool committed) {
+  // Each counter is registered on its first use (a commit-only run
+  // exports no tmf.aborts).
+  Counter*& c = committed ? commits_counter_ : aborts_counter_;
+  if (c == nullptr) {
+    c = &sim().metrics().GetCounter(committed ? "tmf.commits" : "tmf.aborts");
+  }
+  c->Increment();
+  ++(committed ? commits_ : aborts_);
 }
 
 Task<void> TmfProcess::HandleAbort(Request& req) {
@@ -220,8 +229,7 @@ Task<void> TmfProcess::HandleAbort(Request& req) {
   for (const std::string& adp : adps) {
     (void)co_await Call(adp, kAdpBuffer, MakeOutcomeBatch(txn, false));
   }
-  ++aborts_;
-  sim().metrics().GetCounter("tmf.aborts").Increment();
+  CountOutcome(false);
   // Undo must complete before the client can safely reuse the keys.
   for (const std::string& dp2 : dp2s) {
     nsk::CallOptions opts;

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "nsk/pair.h"
 #include "tp/log_device.h"
 
@@ -94,6 +95,8 @@ class TmfProcess : public nsk::PairMember {
 
   void ResolveFanout(std::uint64_t txn, bool committed,
                      const std::vector<std::string>& dp2s);
+  // Bumps commits_/aborts_ and the matching registry counter.
+  void CountOutcome(bool committed);
 
   TmfConfig config_;
   std::uint64_t next_txn_ = 1;
@@ -102,6 +105,8 @@ class TmfProcess : public nsk::PairMember {
   bool state_valid_ = false;
   std::uint64_t commits_ = 0;
   std::uint64_t aborts_ = 0;
+  Counter* commits_counter_ = nullptr;  // registry handles, first use
+  Counter* aborts_counter_ = nullptr;
   sim::SimDuration last_recovery_time_{0};
 };
 

@@ -96,7 +96,11 @@ Task<bool> HotStockDriver::RunOneTxn(db::TxnClient& client,
   if (config_.response_windows != nullptr) {
     config_.response_windows->Record(measure_from.ns, resp_ns);
   }
-  sim().metrics().GetHistogram("workload.txn_response_ns").Record(resp_ns);
+  if (txn_response_hist_ == nullptr) {
+    txn_response_hist_ =
+        &sim().metrics().GetHistogram("workload.txn_response_ns");
+  }
+  txn_response_hist_->Record(resp_ns);
   if (Tracer* tr = sim().tracer(); tr != nullptr && tr->enabled()) {
     tr->Complete(TraceLane::kWorkload, "txn", measure_from.ns, sim().Now().ns,
                  txn->id, "driver", static_cast<std::uint64_t>(driver_index_),
@@ -236,7 +240,7 @@ HotStockResult RunHotStock(Rig& rig, const HotStockConfig& config) {
   }
   result.elapsed_seconds = sim::ToSecondsD(finish - start);
   for (tp::AdpProcess* adp : rig.adps()) {
-    result.overlapped_flushes += adp->overlapped_flushes();
+    result.flushes += adp->flushes();
     result.coalesced_checkpoints += adp->coalesced_checkpoints();
     if (const PipelineStats* ps = adp->device().pipeline_stats()) {
       result.piggybacked_controls += ps->piggybacked.value();

@@ -90,7 +90,7 @@ struct HotStockResult {
   // Pipelined-write-engine counters aggregated over the rig's ADPs
   // (zero on the disk medium).
   std::uint64_t piggybacked_controls = 0;  // control blocks ridden on data
-  std::uint64_t overlapped_flushes = 0;    // append ∥ checkpoint flushes
+  std::uint64_t flushes = 0;               // append ∥ checkpoint flushes
   std::uint64_t coalesced_checkpoints = 0; // buffer ckpts merged into one
   [[nodiscard]] double MeanResponseUs() const;
   [[nodiscard]] std::uint64_t TotalCommitted() const;
@@ -136,6 +136,8 @@ class HotStockDriver : public nsk::NskProcess {
   HotStockConfig config_;
   sim::Latch* done_;
   DriverStats* stats_;
+  // workload.txn_response_ns, resolved on the first commit.
+  LatencyHistogram* txn_response_hist_ = nullptr;
 };
 
 // Builds drivers on the rig, runs to completion, returns per-driver and

@@ -99,6 +99,69 @@ TEST(Crc32Test, ChainedEqualsWhole) {
   EXPECT_EQ(chained, whole);
 }
 
+// Bit-at-a-time CRC-32C straight from the definition: the reference the
+// dispatched (hardware or slicing-by-8) implementations are held to.
+std::uint32_t BitwiseCrc32c(std::span<const std::byte> data,
+                            std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (std::byte b : data) {
+    crc ^= static_cast<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<std::byte> RandomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> out(n);
+  for (auto& b : out) b = static_cast<std::byte>(rng.Next());
+  return out;
+}
+
+TEST(Crc32Test, ImplementationsAgreeOnEveryLengthAndAlignment) {
+  // 8 bytes of slack so every (offset, length) pair fits; the word loops
+  // see every misalignment and every tail length 0-7.
+  const auto buf = RandomBytes(64 * 1024 + 8, 11);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(4 * 1024);
+  lengths.push_back(64 * 1024);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n : lengths) {
+      const std::span<const std::byte> s(buf.data() + off, n);
+      const std::uint32_t want = BitwiseCrc32c(s);
+      EXPECT_EQ(Crc32c(s), want) << "offset " << off << " length " << n;
+      EXPECT_EQ(detail::Crc32cPortable(s), want)
+          << "offset " << off << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedsAgreeAcrossWordBoundaries) {
+  // Crc32c(b, Crc32c(a)) == Crc32c(a || b) for every split of a buffer
+  // that straddles the 8-byte word loop, in both implementations.
+  const auto buf = RandomBytes(40, 12);
+  const std::span<const std::byte> all(buf);
+  const std::uint32_t whole = BitwiseCrc32c(all);
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    const auto a = all.first(cut);
+    const auto b = all.subspan(cut);
+    EXPECT_EQ(Crc32c(b, Crc32c(a)), whole) << "cut " << cut;
+    EXPECT_EQ(detail::Crc32cPortable(b, detail::Crc32cPortable(a)), whole)
+        << "cut " << cut;
+    EXPECT_EQ(BitwiseCrc32c(b, BitwiseCrc32c(a)), whole) << "cut " << cut;
+  }
+}
+
+TEST(Crc32Test, PortableKnownVector) {
+  const char* data = "123456789";
+  EXPECT_EQ(detail::Crc32cPortable(
+                std::as_bytes(std::span<const char>(data, 9))),
+            0xE3069283u);
+}
+
 // ------------------------------------------------------------- Serialize
 
 TEST(SerializeTest, RoundTripScalars) {

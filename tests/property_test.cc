@@ -10,6 +10,7 @@
 //     truncation point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <tuple>
@@ -365,8 +366,9 @@ TEST_P(AuditFuzzTest, RoundTripAndCleanTruncation) {
       EXPECT_EQ(rec->lsn, records[i].lsn);
       EXPECT_EQ(rec->txn, records[i].txn);
       EXPECT_EQ(rec->type, records[i].type);
-      EXPECT_EQ(rec->after_image, records[i].after_image);
-      EXPECT_EQ(rec->before_image, records[i].before_image);
+      EXPECT_TRUE(std::ranges::equal(rec->after_image, records[i].after_image));
+      EXPECT_TRUE(
+          std::ranges::equal(rec->before_image, records[i].before_image));
       ++i;
     }
     EXPECT_EQ(i, records.size());

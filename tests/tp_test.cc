@@ -2,9 +2,13 @@
 // records & framing, the lock manager, and the two log devices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <set>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/serialize.h"
 #include "nsk/cluster.h"
 #include "pm/client.h"
 #include "pm/manager.h"
@@ -53,15 +57,16 @@ AuditRecord SampleRecord(std::uint64_t lsn, std::uint64_t txn) {
 
 TEST(AuditTest, RecordRoundTrip) {
   const AuditRecord r = SampleRecord(7, 42);
-  auto back = AuditRecord::Deserialize(r.Serialize());
+  const std::vector<std::byte> bytes = r.Serialize();
+  auto back = AuditRecordView::Parse(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->lsn, 7u);
   EXPECT_EQ(back->txn, 42u);
   EXPECT_EQ(back->type, AuditType::kUpdate);
   EXPECT_EQ(back->file_id, 2u);
   EXPECT_EQ(back->key, 0xDEADu);
-  EXPECT_EQ(back->after_image, r.after_image);
-  EXPECT_EQ(back->before_image, r.before_image);
+  EXPECT_TRUE(std::ranges::equal(back->after_image, r.after_image));
+  EXPECT_TRUE(std::ranges::equal(back->before_image, r.before_image));
 }
 
 TEST(AuditTest, ScannerWalksFrames) {
@@ -101,6 +106,123 @@ TEST(AuditTest, EmptyLogScansClean) {
   LogScanner scan(log);
   EXPECT_FALSE(scan.Next().has_value());
   EXPECT_EQ(scan.offset(), 0u);
+}
+
+TEST(AuditTest, OverrunningBlobLengthEndsScan) {
+  // A frame whose CRC is valid but whose after-image length claims more
+  // bytes than the payload holds. The log buffer ends exactly at the
+  // frame, so any read past the payload is out of bounds (ASan).
+  std::vector<std::byte> log;
+  FrameRecord(SampleRecord(1, 1), log);
+  const std::size_t valid = log.size();
+  Serializer payload;
+  payload.PutU64(2);  // lsn
+  payload.PutU64(2);  // txn
+  payload.PutEnum(AuditType::kUpdate);
+  payload.PutU32(0);     // file
+  payload.PutU64(7);     // key
+  payload.PutU32(1000);  // after-image length: overruns the payload
+  payload.PutU32(0xAB);  // ... which carries only these 4 bytes
+  Serializer frame(std::move(log));
+  frame.PutU32(static_cast<std::uint32_t>(payload.size()));
+  frame.PutBytes(payload.bytes());
+  frame.PutU32(Crc32c(payload.bytes()));
+  // Range construction allocates exactly the frame bytes, no slack.
+  log = std::vector<std::byte>(frame.bytes().begin(), frame.bytes().end());
+
+  LogScanner scan(log);
+  ASSERT_TRUE(scan.Next().has_value());
+  EXPECT_FALSE(scan.Next().has_value());
+  EXPECT_EQ(scan.offset(), valid);
+  EXPECT_FALSE(AuditRecordView::Parse(payload.bytes()).has_value());
+  EXPECT_TRUE(CommittedUpdates(log).empty());
+}
+
+AuditRecord Outcome(std::uint64_t lsn, std::uint64_t txn, AuditType type) {
+  AuditRecord r;
+  r.lsn = lsn;
+  r.txn = txn;
+  r.type = type;
+  return r;
+}
+
+// The redo set the recovery path computed before it became one pass:
+// scan once for the committed set, then again for their updates.
+std::vector<std::uint64_t> TwoPassRedoLsns(std::span<const std::byte> log) {
+  std::set<std::uint64_t> committed;
+  {
+    LogScanner scan(log);
+    while (auto rec = scan.Next()) {
+      if (rec->type == AuditType::kCommit) committed.insert(rec->txn);
+    }
+  }
+  std::vector<std::uint64_t> lsns;
+  LogScanner scan(log);
+  while (auto rec = scan.Next()) {
+    if (rec->type == AuditType::kUpdate && committed.count(rec->txn)) {
+      lsns.push_back(rec->lsn);
+    }
+  }
+  return lsns;
+}
+
+TEST(AuditTest, OnePassRedoMatchesTwoPassAcrossMidLogTear) {
+  // txn 1 commits before the tear; txn 2's commit lies after it; txn 3
+  // never commits; txn 4 commits before the tear with interleaved
+  // updates.
+  std::vector<std::byte> log;
+  std::uint64_t lsn = 0;
+  FrameRecord(SampleRecord(++lsn, 1), log);
+  FrameRecord(SampleRecord(++lsn, 2), log);
+  FrameRecord(SampleRecord(++lsn, 4), log);
+  FrameRecord(SampleRecord(++lsn, 1), log);
+  FrameRecord(Outcome(++lsn, 1, AuditType::kCommit), log);
+  FrameRecord(SampleRecord(++lsn, 3), log);
+  FrameRecord(SampleRecord(++lsn, 4), log);
+  FrameRecord(Outcome(++lsn, 4, AuditType::kCommit), log);
+  const std::size_t tear = log.size();
+  FrameRecord(SampleRecord(++lsn, 2), log);
+  log[tear + 6] ^= std::byte{0x5A};  // torn frame: CRC no longer matches
+  FrameRecord(Outcome(++lsn, 2, AuditType::kCommit), log);
+  FrameRecord(SampleRecord(++lsn, 4), log);
+
+  const auto updates = CommittedUpdates(log);
+  std::vector<std::uint64_t> lsns;
+  for (const AuditRecordView& u : updates) {
+    EXPECT_NE(u.txn, 2u) << "commit after the tear must be ignored";
+    lsns.push_back(u.lsn);
+  }
+  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1, 3, 4, 7}));
+  EXPECT_EQ(lsns, TwoPassRedoLsns(log));
+}
+
+TEST(AuditTest, ViewOutlivesScannerWhileImageLives) {
+  std::vector<AuditRecord> records;
+  std::vector<std::byte> log;
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    AuditRecord r = SampleRecord(i, i);
+    r.after_image.assign(64 * i, static_cast<std::byte>(i));
+    FrameRecord(r, log);
+    records.push_back(std::move(r));
+  }
+  std::vector<AuditRecordView> views;
+  {
+    LogScanner scan(log);
+    while (auto rec = scan.Next()) views.push_back(*rec);
+  }
+  ASSERT_EQ(views.size(), records.size());
+  const std::byte* lo = log.data();
+  const std::byte* hi = log.data() + log.size();
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    // Zero-copy: the images alias the scanned buffer ...
+    EXPECT_GE(views[i].after_image.data(), lo);
+    EXPECT_LE(views[i].after_image.data() + views[i].after_image.size(), hi);
+    // ... and still read back the logged bytes.
+    EXPECT_TRUE(std::ranges::equal(views[i].after_image,
+                                   records[i].after_image));
+    EXPECT_TRUE(std::ranges::equal(views[i].before_image,
+                                   records[i].before_image));
+  }
 }
 
 // ------------------------------------------------------------------ locks
