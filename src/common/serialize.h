@@ -23,6 +23,9 @@ class Serializer {
   Serializer() { out_.reserve(kInitialReserve); }
   explicit Serializer(std::vector<std::byte> buffer)
       : out_(std::move(buffer)) {}
+  // Sized for `capacity` bytes: a message whose wire size is known up
+  // front costs exactly one allocation.
+  explicit Serializer(std::size_t capacity) { out_.reserve(capacity); }
 
   // Pre-sizes for `extra` more bytes; callers that know the wire size
   // up front (audit framing) make the whole message one allocation.

@@ -26,8 +26,7 @@ Task<Status> TxnClient::Insert(Transaction& txn, std::uint32_t file,
                                std::uint64_t key,
                                std::vector<std::byte> value) {
   const PartitionRoute& route = catalog_->Route(file, key);
-  Serializer s;
-  s.Reserve(8 + 4 + 8 + 4 + value.size());
+  Serializer s(8 + 4 + 8 + 4 + value.size());
   s.PutU64(txn.id);
   s.PutU32(file);
   s.PutU64(key);
@@ -65,9 +64,8 @@ Task<Status> TxnClient::InsertMany(Transaction& txn,
   co_return *first_error;
 }
 
-Task<Result<std::vector<std::byte>>> TxnClient::Read(Transaction& txn,
-                                                     std::uint32_t file,
-                                                     std::uint64_t key) {
+Task<Result<Payload>> TxnClient::Read(Transaction& txn, std::uint32_t file,
+                                      std::uint64_t key) {
   const PartitionRoute& route = catalog_->Route(file, key);
   Serializer s;
   s.PutU64(txn.id);
@@ -124,7 +122,7 @@ std::vector<std::byte> TxnClient::ParticipantPayload(
   for (const std::string& a : txn.adps) s.PutString(a);
   s.PutU32(static_cast<std::uint32_t>(txn.dp2s.size()));
   for (const std::string& p : txn.dp2s) s.PutString(p);
-  return s.bytes();
+  return std::move(s).Take();
 }
 
 Task<Status> TxnClient::Commit(Transaction& txn) {

@@ -45,9 +45,9 @@ class TxnClient {
   };
   sim::Task<Status> InsertMany(Transaction& txn, std::vector<InsertOp> ops);
 
-  sim::Task<Result<std::vector<std::byte>>> Read(Transaction& txn,
-                                                 std::uint32_t file,
-                                                 std::uint64_t key);
+  // The record's bytes, shared with the DP2 reply (no copy).
+  sim::Task<Result<Payload>> Read(Transaction& txn, std::uint32_t file,
+                                  std::uint64_t key);
 
   // Shared-lock range scan over [lo, hi] of `file`, visiting every
   // partition in turn. Locks accumulate until the transaction resolves

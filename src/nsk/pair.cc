@@ -119,7 +119,7 @@ sim::Task<void> PairMember::RunBackup() {
   co_await RunPrimary(/*via_takeover=*/true);
 }
 
-sim::Task<Status> PairMember::CheckpointToBackup(std::vector<std::byte> delta) {
+sim::Task<Status> PairMember::CheckpointToBackup(Payload delta) {
   if (!peer_up_ || peer_ == nullptr) co_return OkStatus();
   checkpoint_bytes_ += delta.size();
   ++checkpoints_sent_;

@@ -86,7 +86,7 @@ class PairMember : public NskProcess {
   // primary must do this before externalizing the change. Returns OK
   // (without sending) when no backup is up — the service then runs
   // unprotected, as NSK does.
-  sim::Task<Status> CheckpointToBackup(std::vector<std::byte> delta);
+  sim::Task<Status> CheckpointToBackup(Payload delta);
 
   // Subclass OnRestart overrides must call this (it resets role state).
   void OnRestart() override {

@@ -6,7 +6,7 @@
 
 namespace ods::nsk {
 
-void Request::Respond(Status status, std::vector<std::byte> body) {
+void Request::Respond(Status status, Payload body) {
   if (!reply.has_value() || cluster == nullptr) return;
   if (cluster->fabric().FirstHealthyRail() < 0) return;  // reply lost
   auto promise = *std::move(reply);
@@ -42,7 +42,7 @@ void NskProcess::DeliverLater(Request req) {
 
 sim::Task<Result<Reply>> NskProcess::Call(const std::string& target,
                                           std::uint32_t kind,
-                                          std::vector<std::byte> payload,
+                                          Payload payload,
                                           CallOptions opts) {
   Status last(ErrorCode::kUnavailable, "no attempt made");
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
@@ -69,7 +69,7 @@ sim::Task<Result<Reply>> NskProcess::Call(const std::string& target,
 }
 
 void NskProcess::Cast(const std::string& target, std::uint32_t kind,
-                      std::vector<std::byte> payload) {
+                      Payload payload) {
   NskProcess* t = cluster_.names().Lookup(target);
   if (t == nullptr || cluster_.fabric().FirstHealthyRail() < 0) return;
   t->DeliverLater(

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/payload.h"
 #include "common/status.h"
 #include "nsk/cluster.h"
 #include "sim/process.h"
@@ -22,22 +23,24 @@
 
 namespace ods::nsk {
 
+// Payloads are shared, immutable buffers (common/payload.h): a reply or
+// request body stays valid for as long as any holder keeps it.
 struct Reply {
   Status status;
-  std::vector<std::byte> payload;
+  Payload payload;
 };
 
 struct Request {
   std::string from;
   std::uint32_t kind = 0;
-  std::vector<std::byte> payload;
+  Payload payload;
   // Absent for one-way casts (e.g. peer-death notifications).
   std::optional<sim::Promise<Reply>> reply;
   Cluster* cluster = nullptr;
 
   // Sends the reply back over the fabric (models the return latency).
   // No-op for one-way requests. Must be called at most once.
-  void Respond(Status status, std::vector<std::byte> payload = {});
+  void Respond(Status status, Payload payload = {});
   [[nodiscard]] bool one_way() const noexcept { return !reply.has_value(); }
 };
 
@@ -59,14 +62,14 @@ class NskProcess : public sim::Process {
   sim::Task<void> Compute(sim::SimDuration work);
 
   // Request/reply to a named process. Retries through name re-resolution
-  // on timeout, which makes process-pair takeover transparent.
+  // on timeout, which makes process-pair takeover transparent. Every
+  // attempt delivers the same shared buffer.
   sim::Task<Result<Reply>> Call(const std::string& target, std::uint32_t kind,
-                                std::vector<std::byte> payload,
+                                Payload payload,
                                 CallOptions opts = {});
 
   // One-way message (no reply, no retry).
-  void Cast(const std::string& target, std::uint32_t kind,
-            std::vector<std::byte> payload);
+  void Cast(const std::string& target, std::uint32_t kind, Payload payload);
 
  protected:
   // Delivers `req` into this process's mailbox after wire latency.

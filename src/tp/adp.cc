@@ -25,6 +25,8 @@ constexpr std::uint8_t kCkptDurable = 2;  // durable tail advanced (confirm)
 // promoted backup still holds the bytes and re-appends them idempotently
 // (same framed bytes at the same ring offsets).
 constexpr std::uint8_t kCkptFlush = 3;
+// A kCkptBuffer delta is [kind u8][next lsn u64][framed bytes, as a blob].
+constexpr std::size_t kCkptBufferHeader = 1 + 8 + 4;
 
 }  // namespace
 
@@ -84,6 +86,8 @@ Task<void> AdpProcess::OnBecomePrimary(bool via_takeover) {
                static_cast<unsigned long long>(durable_tail_));
     }
   }
+  // The primary flushes buffer_ whole, from offset 0.
+  CompactBuffer();
   // Primary-role watermarks: everything currently in buffer_ is ours by
   // definition (recovered it or had it checkpointed to us), so it counts
   // as acked; nothing has been confirmed to a (new) backup yet.
@@ -97,26 +101,32 @@ Task<void> AdpProcess::OnBecomePrimary(bool via_takeover) {
 Task<Status> AdpProcess::BufferRecords(std::span<const std::byte> payload,
                                        std::uint64_t* last_txn) {
   // Payload: sequence of length-prefixed serialized AuditRecords
-  // (lsn unassigned).
+  // (lsn unassigned). Records are framed straight onto buffer_; a
+  // malformed record rolls the whole batch back, so a rejected batch
+  // leaves no trace.
   Deserializer d(payload);
-  std::vector<std::byte> framed;
   std::uint32_t count = 0;
   if (!d.GetU32(count)) {
     co_return Status(ErrorCode::kInvalidArgument, "bad audit batch");
   }
+  const std::size_t start = buffer_.size();
+  const std::uint64_t first_lsn = next_lsn_;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::span<const std::byte> rec_bytes;
-    if (!d.GetBlobView(rec_bytes)) {
-      co_return Status(ErrorCode::kInvalidArgument, "bad audit batch");
+    const bool framed_ok = d.GetBlobView(rec_bytes);
+    auto rec = framed_ok ? AuditRecordView::Parse(rec_bytes) : std::nullopt;
+    if (!rec) {
+      buffer_.resize(start);
+      next_lsn_ = first_lsn;
+      co_return Status(ErrorCode::kInvalidArgument,
+                       framed_ok ? "bad record" : "bad audit batch");
     }
-    auto rec = AuditRecordView::Parse(rec_bytes);
-    if (!rec) co_return Status(ErrorCode::kInvalidArgument, "bad record");
     rec->lsn = next_lsn_++;
     if (last_txn != nullptr) *last_txn = rec->txn;
-    FrameRecord(*rec, framed);
-    ++records_buffered_;
+    FrameRecord(*rec, buffer_);
   }
-  buffer_.insert(buffer_.end(), framed.begin(), framed.end());
+  records_buffered_ += count;
+  const auto framed = std::span<const std::byte>(buffer_).subspan(start);
   buffer_marks_.push_back(buffer_.size());
   buffered_tail_ += framed.size();
   if (config_.retain_log_image) {
@@ -125,7 +135,10 @@ Task<Status> AdpProcess::BufferRecords(std::span<const std::byte> payload,
   // Externalization rule: the buffered delta reaches the backup before
   // the sender is acknowledged. Deltas that arrive while a checkpoint is
   // in flight are coalesced into the next one (one backup round trip for
-  // the whole cohort) instead of queueing a checkpoint per request.
+  // the whole cohort) instead of queueing a checkpoint per request. The
+  // kCkptBuffer message is built in place: its header is reserved here
+  // and filled in when the pump sends it.
+  if (ckpt_pending_.empty()) ckpt_pending_.resize(kCkptBufferHeader);
   ckpt_pending_.insert(ckpt_pending_.end(), framed.begin(), framed.end());
   sim::Promise<Status> acked(sim());
   auto fut = acked.GetFuture();
@@ -145,18 +158,19 @@ void AdpProcess::EnsureCkptPump() {
 
 Task<void> AdpProcess::CkptPumpLoop() {
   while (alive() && !ckpt_waiters_.empty()) {
-    std::vector<std::byte> framed = std::move(ckpt_pending_);
+    std::vector<std::byte> ckpt = std::move(ckpt_pending_);
     ckpt_pending_.clear();
     // Everything staged so far — and every fiber waiting on it — rides
     // this one checkpoint.
     const std::uint64_t cohort_end = buffered_tail_;
     const std::size_t cohort = ckpt_waiters_.size();
     coalesced_checkpoints_ += cohort - 1;
-    Serializer ckpt;
-    ckpt.PutU8(kCkptBuffer);
-    ckpt.PutU64(next_lsn_);
-    ckpt.PutBlob(framed);
-    (void)co_await CheckpointToBackup(std::move(ckpt).Take());
+    Serializer header(kCkptBufferHeader);
+    header.PutU8(kCkptBuffer);
+    header.PutU64(next_lsn_);
+    header.PutU32(static_cast<std::uint32_t>(ckpt.size() - kCkptBufferHeader));
+    std::ranges::copy(header.bytes(), ckpt.begin());
+    (void)co_await CheckpointToBackup(std::move(ckpt));
     // OK means applied (or no backup to protect); either way these bytes
     // can now be confirmed durable to the backup without risking a trim
     // of bytes it never received.
@@ -362,8 +376,8 @@ void AdpProcess::ApplyCheckpoint(std::span<const std::byte> delta) {
   if (!d.GetU8(kind)) return;
   if (kind == kCkptBuffer) {
     std::uint64_t lsn = 0;
-    std::vector<std::byte> framed;
-    if (!d.GetU64(lsn) || !d.GetBlob(framed)) return;
+    std::span<const std::byte> framed;
+    if (!d.GetU64(lsn) || !d.GetBlobView(framed)) return;
     next_lsn_ = lsn;
     buffer_.insert(buffer_.end(), framed.begin(), framed.end());
     buffer_marks_.push_back(buffer_.size());
@@ -393,19 +407,28 @@ void AdpProcess::AdvanceDurable(std::uint64_t tail) {
   // Checkpoints are not FIFO on the wire: a stale (smaller) confirm may
   // arrive after a newer one. Never regress.
   if (tail <= durable_tail_) return;
-  const std::uint64_t advanced = tail - durable_tail_;
+  buffer_head_ += tail - durable_tail_;
   durable_tail_ = tail;
-  // Drop the now-durable prefix from the pending buffer.
-  if (advanced >= buffer_.size()) {
+  // Drop the now-durable prefix from the pending buffer: move the head
+  // offset, and reclaim the bytes only once nothing is pending or the
+  // dead prefix outgrows the live bytes, instead of front-erasing on
+  // every confirm.
+  if (buffer_head_ >= buffer_.size()) {
     buffer_.clear();
     buffer_marks_.clear();
-  } else {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(advanced));
-    std::erase_if(buffer_marks_,
-                  [advanced](std::uint64_t m) { return m <= advanced; });
-    for (std::uint64_t& m : buffer_marks_) m -= advanced;
+    buffer_head_ = 0;
+    return;
   }
+  std::erase_if(buffer_marks_,
+                [this](std::uint64_t m) { return m <= buffer_head_; });
+  if (2 * buffer_head_ >= buffer_.size()) CompactBuffer();
+}
+
+void AdpProcess::CompactBuffer() {
+  buffer_.erase(buffer_.begin(),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_head_));
+  for (std::uint64_t& m : buffer_marks_) m -= buffer_head_;
+  buffer_head_ = 0;
 }
 
 std::vector<std::byte> AdpProcess::SnapshotState() {
@@ -431,6 +454,7 @@ void AdpProcess::InstallState(std::span<const std::byte> snapshot) {
   durable_tail_ = tail;
   next_lsn_ = lsn;
   buffer_ = std::move(buffer);
+  buffer_head_ = 0;
   // Internal cohort boundaries were not snapshotted; the whole pending
   // buffer is one indivisible chunk for the next flush.
   buffer_marks_.clear();

@@ -69,6 +69,10 @@ class AdpProcess : public nsk::PairMember {
     return last_recovery_time_;
   }
   [[nodiscard]] std::uint64_t next_lsn() const noexcept { return next_lsn_; }
+  // Framed bytes buffered but not yet durable.
+  [[nodiscard]] std::uint64_t pending_bytes() const noexcept {
+    return buffer_.size() - buffer_head_;
+  }
   [[nodiscard]] LogDevice& device() noexcept { return *device_; }
 
  protected:
@@ -81,6 +85,7 @@ class AdpProcess : public nsk::PairMember {
   void OnRestart() override {
     PairMember::OnRestart();
     buffer_.clear();
+    buffer_head_ = 0;
     buffer_marks_.clear();
     log_image_.clear();
     flush_waiters_.clear();
@@ -113,15 +118,20 @@ class AdpProcess : public nsk::PairMember {
   // Backup side: advances durable_tail_ to `tail` (never backwards) and
   // trims the now-durable prefix off the pending buffer.
   void AdvanceDurable(std::uint64_t tail);
+  // Erases buffer_'s durable prefix [0, buffer_head_).
+  void CompactBuffer();
 
   std::unique_ptr<LogDevice> device_;
   AdpConfig config_;
 
   // Volatile primary state, checkpointed to the backup.
   std::vector<std::byte> buffer_;     // framed records not yet durable
-  // Record-cohort ends within buffer_ (ascending, relative offsets) —
-  // the stripe-cut boundaries handed to the device so a sharded flush
-  // never splits a record across streams.
+  // Backup side: buffer_[0, buffer_head_) is already durable and awaits
+  // compaction. Always 0 on the primary.
+  std::uint64_t buffer_head_ = 0;
+  // Record-cohort ends within buffer_ (ascending, offsets from buffer_'s
+  // start) — the stripe-cut boundaries handed to the device so a sharded
+  // flush never splits a record across streams.
   std::vector<std::uint64_t> buffer_marks_;
   std::uint64_t durable_tail_ = 0;    // logical bytes durable on media
   std::uint64_t next_lsn_ = 1;
@@ -149,8 +159,9 @@ class AdpProcess : public nsk::PairMember {
   std::deque<FlushWaiter> flush_waiters_;
   bool flusher_running_ = false;
 
-  // Buffer-checkpoint coalescing: framed bytes staged for the next
-  // kCkptBuffer checkpoint, and the fibers awaiting its ack.
+  // Buffer-checkpoint coalescing: the next kCkptBuffer checkpoint, built
+  // in place (header reserved, framed bytes appended), and the fibers
+  // awaiting its ack.
   std::vector<std::byte> ckpt_pending_;
   std::deque<sim::Promise<Status>> ckpt_waiters_;
   bool ckpt_pump_running_ = false;

@@ -40,11 +40,12 @@ AuditRecordView AuditRecord::View() const noexcept {
   return {lsn, txn, type, file_id, key, after_image, before_image};
 }
 
-std::vector<std::byte> AuditRecord::Serialize() const {
-  const AuditRecordView v = View();
-  Serializer s;
-  s.Reserve(v.WireSize() - kFrameOverhead);
-  v.SerializeInto(s);
+std::vector<std::byte> EncodeAuditBatch(const AuditRecordView& rec) {
+  const std::size_t payload_size = rec.WireSize() - kFrameOverhead;
+  Serializer s(4 + 4 + payload_size);
+  s.PutU32(1);
+  s.PutU32(static_cast<std::uint32_t>(payload_size));
+  rec.SerializeInto(s);
   return std::move(s).Take();
 }
 

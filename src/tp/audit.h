@@ -65,9 +65,13 @@ struct AuditRecord {
   std::vector<std::byte> before_image;  // undo (empty for inserts)
 
   [[nodiscard]] AuditRecordView View() const noexcept;
-  // Unframed payload (decode with AuditRecordView::Parse).
-  [[nodiscard]] std::vector<std::byte> Serialize() const;
 };
+
+// The kAdpBuffer/kAdpFlush request body for one record, serialized in a
+// single allocation: [count u32 = 1][len u32][unframed payload]. The ADP
+// assigns the LSN, so `rec.lsn` is sent as given (normally 0).
+[[nodiscard]] std::vector<std::byte> EncodeAuditBatch(
+    const AuditRecordView& rec);
 
 // Appends a framed record to `out`.
 void FrameRecord(const AuditRecordView& rec, std::vector<std::byte>& out);

@@ -39,16 +39,16 @@ void Dp2Process::Redo(const AuditRecordView& rec) {
 }
 
 void Dp2Process::ApplyWrite(std::uint64_t txn, LockKey key,
-                            std::vector<std::byte> value) {
+                            std::span<const std::byte> value) {
   auto& undo_list = undo_[txn];
-  auto it = table_.find(key);
-  if (it == table_.end()) {
+  auto [it, inserted] = table_.try_emplace(key);
+  if (inserted) {
     undo_list.push_back(UndoEntry{key, std::nullopt});
-    table_.emplace(key, std::move(value));
   } else {
-    undo_list.push_back(UndoEntry{key, it->second});
-    it->second = std::move(value);
+    // The old image moves to the undo list; the table gets a new buffer.
+    undo_list.push_back(UndoEntry{key, std::move(it->second)});
   }
+  it->second.assign(value.begin(), value.end());
   ++inserts_;
 }
 
@@ -74,12 +74,15 @@ void Dp2Process::Resolve(std::uint64_t txn, bool committed) {
 }
 
 Task<void> Dp2Process::HandleWrite(Request& req) {
+  // `value` views the request payload, which outlives this handler. Each
+  // destination below (table_, the audit batch, the backup checkpoint)
+  // copies it once.
   Deserializer d(req.payload);
   std::uint64_t txn = 0;
   LockKey key;
-  std::vector<std::byte> value;
+  std::span<const std::byte> value;
   if (!d.GetU64(txn) || !d.GetU32(key.file) || !d.GetU64(key.key) ||
-      !d.GetBlob(value)) {
+      !d.GetBlobView(value)) {
     req.Respond(Status(ErrorCode::kInvalidArgument, "bad write payload"));
     co_return;
   }
@@ -93,7 +96,10 @@ Task<void> Dp2Process::HandleWrite(Request& req) {
   }
   co_await Compute(config_.apply_cpu);
 
-  AuditRecord rec;
+  // Audit delta to the log writer, encoded before ApplyWrite moves the
+  // before image out of the table. The ack means the ADP has buffered
+  // AND checkpointed it (durable-at-commit once flushed).
+  AuditRecordView rec;
   rec.txn = txn;
   rec.type = AuditType::kUpdate;
   rec.file_id = key.file;
@@ -102,19 +108,15 @@ Task<void> Dp2Process::HandleWrite(Request& req) {
   if (auto it = table_.find(key); it != table_.end()) {
     rec.before_image = it->second;
   }
-  ApplyWrite(txn, key, std::move(value));
+  Payload batch = EncodeAuditBatch(rec);
+  ApplyWrite(txn, key, value);
 
-  // Audit delta to the log writer; the ack means the ADP has buffered AND
-  // checkpointed it (durable-at-commit once flushed).
-  Serializer batch;
-  batch.PutU32(1);
-  batch.PutBlob(rec.Serialize());
   const std::uint32_t adp_kind =
       config_.force_audit_each_write ? kAdpFlush : kAdpBuffer;
   nsk::CallOptions adp_opts;
   adp_opts.timeout = sim::Seconds(2);  // a forced flush can queue on disk
-  auto adp = co_await Call(config_.adp_service, adp_kind,
-                           std::move(batch).Take(), adp_opts);
+  auto adp = co_await Call(config_.adp_service, adp_kind, std::move(batch),
+                           adp_opts);
   if (!adp.ok() || !adp->status.ok()) {
     req.Respond(Status(ErrorCode::kUnavailable, "audit trail unavailable"));
     co_return;
@@ -122,12 +124,12 @@ Task<void> Dp2Process::HandleWrite(Request& req) {
 
   // Externalization rule: mirror the mutation to the backup before the
   // requester learns of it.
-  Serializer ckpt;
+  Serializer ckpt(1 + 8 + 4 + 8 + 4 + value.size());
   ckpt.PutU8(kCkptWrite);
   ckpt.PutU64(txn);
   ckpt.PutU32(key.file);
   ckpt.PutU64(key.key);
-  ckpt.PutBlob(rec.after_image);
+  ckpt.PutBlob(value);
   (void)co_await CheckpointToBackup(std::move(ckpt).Take());
 
   req.Respond(OkStatus());
@@ -231,33 +233,42 @@ Task<void> Dp2Process::FlushLoop() {
     // in one sequential I/O (ring layout; see log_device.h caveat).
     std::set<LockKey> batch_keys = std::move(dirty_);
     dirty_.clear();
-    std::vector<std::byte> framed;
+    std::vector<AuditRecordView> records;
+    records.reserve(batch_keys.size());
+    std::size_t wire_bytes = 0;
     for (const LockKey& key : batch_keys) {
       auto it = table_.find(key);
       if (it == table_.end()) continue;  // deleted by a later abort
-      AuditRecord rec;
+      AuditRecordView& rec = records.emplace_back();
       rec.type = AuditType::kUpdate;
       rec.file_id = key.file;
       rec.key = key.key;
       rec.after_image = it->second;
-      FrameRecord(rec, framed);
+      wire_bytes += rec.WireSize();
     }
-    if (framed.empty()) continue;
+    if (records.empty()) continue;
+    std::vector<std::byte> framed;
+    framed.reserve(wire_bytes);
+    for (const AuditRecordView& rec : records) FrameRecord(rec, framed);
     const std::uint64_t cap = config_.data_volume->capacity();
     const std::uint64_t phys = volume_tail_ % cap;
-    const std::uint64_t first =
-        std::min<std::uint64_t>(framed.size(), cap - phys);
-    std::vector<std::byte> head(framed.begin(),
-                                framed.begin() + static_cast<std::ptrdiff_t>(first));
-    Status st = co_await config_.data_volume->Write(*this, phys,
-                                                    std::move(head));
-    if (st.ok() && first < framed.size()) {
-      std::vector<std::byte> rest(
-          framed.begin() + static_cast<std::ptrdiff_t>(first), framed.end());
-      st = co_await config_.data_volume->Write(*this, 0, std::move(rest));
+    const std::uint64_t size = framed.size();
+    const std::uint64_t first = std::min<std::uint64_t>(size, cap - phys);
+    Status st = OkStatus();
+    if (first == size) {
+      st = co_await config_.data_volume->Write(*this, phys, std::move(framed));
+    } else {
+      // The batch wraps the ring: split it at the volume end.
+      const auto cut = framed.begin() + static_cast<std::ptrdiff_t>(first);
+      st = co_await config_.data_volume->Write(
+          *this, phys, std::vector<std::byte>(framed.begin(), cut));
+      if (st.ok()) {
+        st = co_await config_.data_volume->Write(
+            *this, 0, std::vector<std::byte>(cut, framed.end()));
+      }
     }
     if (st.ok()) {
-      volume_tail_ += framed.size();
+      volume_tail_ += size;
     } else {
       // Put the batch back; retry on the next round.
       for (const LockKey& key : batch_keys) dirty_.insert(key);
@@ -379,12 +390,12 @@ void Dp2Process::ApplyCheckpoint(std::span<const std::byte> delta) {
   if (kind == kCkptWrite) {
     std::uint64_t txn = 0;
     LockKey key;
-    std::vector<std::byte> value;
+    std::span<const std::byte> value;
     if (!d.GetU64(txn) || !d.GetU32(key.file) || !d.GetU64(key.key) ||
-        !d.GetBlob(value)) {
+        !d.GetBlobView(value)) {
       return;
     }
-    ApplyWrite(txn, key, std::move(value));
+    ApplyWrite(txn, key, value);
     --inserts_;  // ApplyWrite counted it; backups don't double-count
     state_valid_ = true;
   } else if (kind == kCkptResolve) {

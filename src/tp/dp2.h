@@ -111,9 +111,10 @@ class Dp2Process : public nsk::PairMember {
   // Cold-recovery redo via device ShipReplay; true = redo complete.
   sim::Task<bool> OffloadReplay();
 
-  // Applies a mutation locally (both roles use this).
+  // Applies a mutation locally (both roles use this): the record's one
+  // copy into table_.
   void ApplyWrite(std::uint64_t txn, LockKey key,
-                  std::vector<std::byte> value);
+                  std::span<const std::byte> value);
   // Recovery: installs a record's after image (the only place a scanned
   // image is copied).
   void Redo(const AuditRecordView& rec);

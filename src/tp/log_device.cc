@@ -617,8 +617,7 @@ Task<Status> ShardedPmLogDevice::AppendAligned(
   }
 
   auto frame = [&](const StripePlan& p) {
-    Serializer f;
-    f.Reserve(kFrameHeader + p.len);
+    Serializer f(kFrameHeader + p.len);
     f.PutU64(p.goff);
     f.PutU32(static_cast<std::uint32_t>(p.len));
     f.PutBytes(std::span<const std::byte>(flat).subspan(

@@ -34,13 +34,10 @@ std::vector<std::byte> MakeResolvePayload(std::uint64_t txn, bool committed) {
 
 // Audit batch holding a single commit/abort record.
 std::vector<std::byte> MakeOutcomeBatch(std::uint64_t txn, bool committed) {
-  AuditRecord rec;
+  AuditRecordView rec;
   rec.txn = txn;
   rec.type = committed ? AuditType::kCommit : AuditType::kAbort;
-  Serializer s;
-  s.PutU32(1);
-  s.PutBlob(rec.Serialize());
-  return std::move(s).Take();
+  return EncodeAuditBatch(rec);
 }
 
 bool ParseParticipants(Deserializer& d, std::uint64_t& txn,
@@ -82,13 +79,13 @@ Task<void> TmfProcess::NoteState(std::uint64_t txn, TxnState state) {
   std::vector<std::byte> entry = EncodeTransition(txn, state);
   if (tcb_log_ != nullptr) {
     // Fine-grained synchronous persistence of the control block.
-    std::vector<std::byte> framed;
-    AuditRecord rec;
+    AuditRecordView rec;
     rec.txn = txn;
     rec.type = state == TxnState::kCommitted  ? AuditType::kCommit
                : state == TxnState::kAborted ? AuditType::kAbort
                                              : AuditType::kUpdate;
     rec.key = static_cast<std::uint64_t>(state);
+    std::vector<std::byte> framed;
     FrameRecord(rec, framed);
     (void)co_await tcb_log_->Append(*this, std::move(framed), txn);
   }
@@ -96,17 +93,15 @@ Task<void> TmfProcess::NoteState(std::uint64_t txn, TxnState state) {
 }
 
 Task<Status> TmfProcess::FlushAudit(const std::vector<std::string>& adps,
-                                    std::vector<std::byte> outcome_payload) {
+                                    Payload outcome_payload) {
   if (adps.empty()) co_return OkStatus();
   auto latch = std::make_shared<sim::Latch>(sim(), static_cast<int>(adps.size()));
   auto statuses = std::make_shared<std::vector<Status>>(adps.size());
   for (std::size_t i = 0; i < adps.size(); ++i) {
     // The outcome record rides EVERY participating trail: each database
     // writer recovers from its own trail and must be able to prove the
-    // transaction's outcome there.
-    std::vector<std::byte> payload = outcome_payload;
-    SpawnFiber([](TmfProcess& self, std::string adp,
-                  std::vector<std::byte> body,
+    // transaction's outcome there. Every flush shares the one buffer.
+    SpawnFiber([](TmfProcess& self, std::string adp, Payload body,
                   std::shared_ptr<sim::Latch> done,
                   std::shared_ptr<std::vector<Status>> out,
                   std::size_t slot) -> Task<void> {
@@ -119,7 +114,7 @@ Task<Status> TmfProcess::FlushAudit(const std::vector<std::string>& adps,
       auto r = co_await self.Call(adp, kAdpFlush, std::move(body), opts);
       (*out)[slot] = r.ok() ? r->status : r.status();
       done->Arrive();
-    }(*this, adps[i], std::move(payload), latch, statuses, i));
+    }(*this, adps[i], outcome_payload, latch, statuses, i));
   }
   co_await latch->Wait(*this);
   for (const Status& st : *statuses) {
@@ -226,8 +221,9 @@ Task<void> TmfProcess::HandleAbort(Request& req) {
       std::find(adps.begin(), adps.end(), config_.master_adp) == adps.end()) {
     adps.push_back(config_.master_adp);
   }
+  const Payload outcome = MakeOutcomeBatch(txn, false);
   for (const std::string& adp : adps) {
-    (void)co_await Call(adp, kAdpBuffer, MakeOutcomeBatch(txn, false));
+    (void)co_await Call(adp, kAdpBuffer, outcome);
   }
   CountOutcome(false);
   // Undo must complete before the client can safely reuse the keys.

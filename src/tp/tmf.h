@@ -91,7 +91,7 @@ class TmfProcess : public nsk::PairMember {
   // Flushes all `adps` in parallel; the commit/abort record goes to the
   // first (master). Returns the first failure, if any.
   sim::Task<Status> FlushAudit(const std::vector<std::string>& adps,
-                               std::vector<std::byte> master_payload);
+                               Payload master_payload);
 
   void ResolveFanout(std::uint64_t txn, bool committed,
                      const std::vector<std::string>& dp2s);

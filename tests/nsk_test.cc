@@ -4,6 +4,7 @@
 // state).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -186,6 +187,64 @@ TEST_F(ClusterFixture, CastIsOneWay) {
                          });
   sim.Run();
   EXPECT_EQ(server.handled, 1);
+}
+
+// ------------------------------------------------------- shared payloads
+
+TEST_F(ClusterFixture, RetriedCallResendsTheSameBuffer) {
+  // Drops the first request unanswered, so the call times out and
+  // retries; answers the second. Every request it sees is kept.
+  std::vector<Request> seen;
+  sim.Adopt<TestProcess>(cluster, 0, "$flaky",
+                         [&](TestProcess& self) -> Task<void> {
+                           self.cluster().names().Register("$flaky", &self);
+                           while (true) {
+                             Request req = co_await self.Mailbox().Receive(self);
+                             seen.push_back(req);
+                             if (seen.size() > 1) req.Respond(OkStatus());
+                           }
+                         });
+  const Payload sent(std::vector<std::byte>(256, std::byte{0x6B}));
+  Result<Reply> result(Status(ErrorCode::kInternal, "unset"));
+  sim.Adopt<TestProcess>(cluster, 1, "client",
+                         [&](TestProcess& self) -> Task<void> {
+                           CallOptions opts;
+                           opts.timeout = Milliseconds(20);
+                           opts.max_attempts = 3;
+                           opts.retry_backoff = Milliseconds(1);
+                           result = co_await self.Call("$flaky", 1, sent, opts);
+                         });
+  sim.RunUntil(SimTime{Seconds(1).ns});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(seen.size(), 2u);
+  for (const Request& req : seen) {
+    EXPECT_EQ(req.payload.data(), sent.data()) << "a retry copied the payload";
+    EXPECT_TRUE(std::ranges::equal(req.payload, sent));
+  }
+}
+
+TEST_F(ClusterFixture, ReplyPayloadOutlivesTheHandler) {
+  // The server builds its reply in a local buffer, answers, and exits:
+  // nothing of its frame survives, but the reply bytes do.
+  sim.Adopt<TestProcess>(cluster, 0, "$once",
+                         [&](TestProcess& self) -> Task<void> {
+                           self.cluster().names().Register("$once", &self);
+                           Request req = co_await self.Mailbox().Receive(self);
+                           std::vector<std::byte> body(512, std::byte{0x3C});
+                           req.Respond(OkStatus(), std::move(body));
+                         });
+  Result<Reply> result(Status(ErrorCode::kInternal, "unset"));
+  sim.Adopt<TestProcess>(cluster, 1, "client",
+                         [&](TestProcess& self) -> Task<void> {
+                           result = co_await self.Call("$once", 1, {});
+                         });
+  sim.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Payload kept = result->payload;
+  result = Status(ErrorCode::kInternal, "reply dropped");
+  ASSERT_EQ(kept.size(), 512u);
+  EXPECT_TRUE(std::ranges::all_of(
+      kept, [](std::byte b) { return b == std::byte{0x3C}; }));
 }
 
 // ------------------------------------------------------------ process pair

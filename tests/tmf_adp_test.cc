@@ -304,6 +304,49 @@ TEST_F(TmfAdpFixture, LsnsContinueAcrossFailover) {
       << "the promoted backup must not reissue LSNs";
 }
 
+// A batch whose second record is malformed is rejected whole: no record
+// counted, no byte buffered, no LSN consumed. The next good batch then
+// buffers normally.
+TEST_F(TmfAdpFixture, RejectedAuditBatchChangesNothing) {
+  Start(true);
+  AdpProcess& adp = *rig->adps()[0];
+  const std::vector<std::byte> image(64, std::byte{7});
+  AuditRecordView rec;
+  rec.txn = 77;
+  rec.key = 1;
+  rec.after_image = image;
+  Serializer one;
+  rec.SerializeInto(one);
+  Serializer bad;
+  bad.PutU32(2);
+  bad.PutBlob(one.bytes());
+  bad.PutBlob(std::span(one.bytes()).first(one.size() - 10));  // truncated
+
+  const std::uint64_t records = adp.records_buffered();
+  const std::uint64_t pending = adp.pending_bytes();
+  const std::uint64_t lsn = adp.next_lsn();
+  Status rejected, accepted;
+  RunApp([&](App& self) -> Task<void> {
+    auto r = co_await self.Call(adp.service_name(), kAdpBuffer,
+                                std::move(bad).Take());
+    rejected = r.ok() ? r->status : r.status();
+  });
+  EXPECT_EQ(rejected.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(adp.records_buffered(), records);
+  EXPECT_EQ(adp.pending_bytes(), pending);
+  EXPECT_EQ(adp.next_lsn(), lsn);
+
+  RunApp([&](App& self) -> Task<void> {
+    auto r = co_await self.Call(adp.service_name(), kAdpBuffer,
+                                EncodeAuditBatch(rec));
+    accepted = r.ok() ? r->status : r.status();
+  });
+  EXPECT_TRUE(accepted.ok()) << accepted.ToString();
+  EXPECT_EQ(adp.records_buffered(), records + 1);
+  EXPECT_EQ(adp.pending_bytes(), pending + rec.WireSize());
+  EXPECT_EQ(adp.next_lsn(), lsn + 1);
+}
+
 TEST_F(TmfAdpFixture, FlushLatencyMatchesMedium) {
   for (bool pm : {false, true}) {
     Start(pm);

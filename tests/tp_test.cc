@@ -57,8 +57,10 @@ AuditRecord SampleRecord(std::uint64_t lsn, std::uint64_t txn) {
 
 TEST(AuditTest, RecordRoundTrip) {
   const AuditRecord r = SampleRecord(7, 42);
-  const std::vector<std::byte> bytes = r.Serialize();
-  auto back = AuditRecordView::Parse(bytes);
+  Serializer s;
+  r.View().SerializeInto(s);
+  EXPECT_EQ(s.size(), r.View().WireSize() - kFrameOverhead);
+  auto back = AuditRecordView::Parse(s.bytes());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->lsn, 7u);
   EXPECT_EQ(back->txn, 42u);
