@@ -24,8 +24,8 @@
 //    hot-stock run (drivers=8, 2 inserts/txn, PM log on a mirrored NPMU
 //    pair). bench/engine_baseline.json records the same run measured
 //    against the seed engine, interleaved on the same host.
-//  - pm_append_*: SIMULATED latency of the pipelined PM append path
-//    (piggybacked control block vs the seed's serialized writes).
+//  - pm_append_*: SIMULATED latency of the PM log append (one chained
+//    write per mirror: data, then the control block).
 //
 // CI's perf-smoke job gates on the self-normalizing speedup ratios
 // (new-vs-legacy inside one binary, same host conditions), not on raw
@@ -674,18 +674,13 @@ class BenchProcess : public nsk::NskProcess {
   Body body_;
 };
 
-struct AppendBenchResult {
-  LatencyHistogram latency;
-  std::uint64_t piggybacked = 0;
-};
-
 // Simulated latency of PmLogDevice appends against a mirrored NPMU pair:
-// `batch` records of `record_bytes` per AppendBatch call, sequential
-// (each durable before the next starts), with the piggyback ablation
-// knob. piggyback=false reproduces the seed's two serialized RDMA rounds
-// per append.
-AppendBenchResult RunPmAppendBench(bool piggyback, int appends,
-                                   std::size_t record_bytes, int batch) {
+// `batch` records of `record_bytes` per Append call (gathered into one
+// buffer with a record-boundary mark per record), sequential (each
+// durable before the next starts). Every append is one chained write per
+// mirror: data, then the control block.
+LatencyHistogram RunPmAppendBench(int appends, std::size_t record_bytes,
+                                  int batch) {
   sim::Simulation sim(7);
   nsk::ClusterConfig ccfg;
   ccfg.num_cpus = 4;
@@ -703,54 +698,43 @@ AppendBenchResult RunPmAppendBench(bool piggyback, int appends,
   pmm_p.Start();
   pmm_b.Start();
 
-  AppendBenchResult out;
+  LatencyHistogram latency;
   sim.Adopt<BenchProcess>(
       cluster, 2, "bench", [&](BenchProcess& self) -> sim::Task<void> {
         tp::PmLogConfig cfg;
         cfg.region_name = "bench-log";
         cfg.region_bytes = 16ull << 20;
-        cfg.piggyback_control = piggyback;
         tp::PmLogDevice dev(cfg);
         auto open = co_await dev.Open(self);
         if (!open.ok()) co_return;
         for (int i = 0; i < appends; ++i) {
-          std::vector<std::vector<std::byte>> records(
-              static_cast<std::size_t>(batch),
-              std::vector<std::byte>(record_bytes, std::byte{1}));
+          std::vector<std::byte> bytes(
+              static_cast<std::size_t>(batch) * record_bytes, std::byte{1});
+          std::vector<std::uint64_t> marks;
+          for (int r = 1; r <= batch; ++r) {
+            marks.push_back(static_cast<std::uint64_t>(r) * record_bytes);
+          }
           const sim::SimTime t0 = self.sim().Now();
-          (void)co_await dev.AppendBatch(self, std::move(records));
-          out.latency.Record(
+          (void)co_await dev.Append(self, std::move(bytes), std::move(marks));
+          latency.Record(
               static_cast<std::uint64_t>((self.sim().Now() - t0).ns));
         }
-        out.piggybacked = dev.pipeline_stats()->piggybacked.value();
       });
   sim.Run();
-  return out;
+  return latency;
 }
 
 void ReportPmAppend(bench::BenchJson& json, const char* label,
                     std::size_t record_bytes, int batch) {
   constexpr int kAppends = 2000;
-  AppendBenchResult on = RunPmAppendBench(true, kAppends, record_bytes, batch);
-  AppendBenchResult off =
-      RunPmAppendBench(false, kAppends, record_bytes, batch);
-  std::printf(
-      "pm_append %-18s piggyback=on  mean=%7.2fus p99=%7.2fus  (%llu "
-      "piggybacked)\n",
-      label, on.latency.mean() / 1e3,
-      static_cast<double>(on.latency.Percentile(0.99)) / 1e3,
-      static_cast<unsigned long long>(on.piggybacked));
-  std::printf(
-      "pm_append %-18s piggyback=off mean=%7.2fus p99=%7.2fus  (seed path)\n",
-      label, off.latency.mean() / 1e3,
-      static_cast<double>(off.latency.Percentile(0.99)) / 1e3);
+  const LatencyHistogram latency =
+      RunPmAppendBench(kAppends, record_bytes, batch);
+  std::printf("pm_append %-18s mean=%7.2fus p99=%7.2fus\n", label,
+              latency.mean() / 1e3,
+              static_cast<double>(latency.Percentile(0.99)) / 1e3);
   const std::string base = std::string("pm_append_") + label;
-  json.SetLatency(base + "_piggyback_on", on.latency);
-  json.SetOpsPerSec(base + "_piggyback_on", on.latency);
-  json.SetLatency(base + "_piggyback_off", off.latency);
-  json.SetOpsPerSec(base + "_piggyback_off", off.latency);
-  json.Set(base + "_reduction_us",
-           (off.latency.mean() - on.latency.mean()) / 1e3);
+  json.SetLatency(base, latency);
+  json.SetOpsPerSec(base, latency);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@ int main() {
   struct Cell {
     double disk_us = 0;
     double pm_us = 0;
-    std::uint64_t piggybacked = 0;
     std::uint64_t overlapped = 0;
     std::uint64_t coalesced = 0;
   };
@@ -37,7 +36,6 @@ int main() {
     Cell& c = cells[drivers - 1][size_idx];
     if (pm) {
       c.pm_us = result.MeanResponseUs();
-      c.piggybacked = result.piggybacked_controls;
       c.overlapped = result.flushes;
       c.coalesced = result.coalesced_checkpoints;
     } else {
@@ -65,21 +63,18 @@ int main() {
   std::printf("paper: speedup up to ~3.5x, greatest at 32k with 1-2 "
               "drivers,\ndeclining with larger boxcars and more drivers.\n\n");
 
-  // Pipelined-write-engine accounting for the PM runs: how often the
-  // control block rode the data RDMA, flushes overlapped their backup
-  // checkpoint, and buffer checkpoints were coalesced.
-  std::uint64_t piggybacked = 0, overlapped = 0, coalesced = 0;
+  // ADP commit-path accounting for the PM runs: how often flushes
+  // overlapped their backup checkpoint and buffer checkpoints were
+  // coalesced.
+  std::uint64_t overlapped = 0, coalesced = 0;
   for (int s = 0; s < 3; ++s) {
     for (int d = 1; d <= max_drivers; ++d) {
-      piggybacked += cells[d - 1][s].piggybacked;
       overlapped += cells[d - 1][s].overlapped;
       coalesced += cells[d - 1][s].coalesced;
     }
   }
-  std::printf("PM write engine: %llu piggybacked control blocks, %llu "
-              "overlapped flushes,\n%llu coalesced buffer checkpoints "
-              "across the 12 PM runs.\n",
-              static_cast<unsigned long long>(piggybacked),
+  std::printf("ADP commit path: %llu overlapped flushes, %llu coalesced "
+              "buffer checkpoints\nacross the 12 PM runs.\n",
               static_cast<unsigned long long>(overlapped),
               static_cast<unsigned long long>(coalesced));
 
@@ -92,7 +87,6 @@ int main() {
       json.Set(base + "_speedup", c.pm_us > 0 ? c.disk_us / c.pm_us : 0.0);
     }
   }
-  json.Set("piggybacked_controls", static_cast<double>(piggybacked));
   json.Set("overlapped_flushes", static_cast<double>(overlapped));
   json.Set("coalesced_checkpoints", static_cast<double>(coalesced));
   json.Write();

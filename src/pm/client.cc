@@ -108,10 +108,6 @@ const char* PersistSpanName(DurabilityMode mode) noexcept {
 
 }  // namespace
 
-sim::Simulation* PmRegion::simulation() noexcept {
-  return host_ == nullptr ? nullptr : &host_->sim();
-}
-
 DurabilityMode PmRegion::EffectiveDurability() const noexcept {
   if (durability_.has_value()) return *durability_;
   return host_->cpu().endpoint().fabric().config().durability_mode;
@@ -134,15 +130,11 @@ Task<bool> PmRegion::ReportDeviceDown(std::uint32_t endpoint) {
   co_return true;
 }
 
-Task<Status> PmRegion::ResolveMirrored(Status sp, std::optional<Status> sm_opt,
-                                       std::uint64_t nbytes) {
+Task<Status> PmRegion::ResolveMirrored(Status sp,
+                                       std::optional<Status> sm_opt) {
   const bool mirror_issued = sm_opt.has_value();
   Status sm = mirror_issued ? std::move(*sm_opt) : OkStatus();
-  if (sp.ok() && sm.ok()) {
-    ++writes_;
-    bytes_written_ += nbytes;
-    co_return OkStatus();
-  }
+  if (sp.ok() && sm.ok()) co_return OkStatus();
   // Exactly one mirror failed with a device-level error: data is durable
   // on the survivor. Report, refresh roles, succeed — but only if the
   // PMM durably recorded the loss. Acking on an unrecorded demotion
@@ -152,16 +144,12 @@ Task<Status> PmRegion::ResolveMirrored(Status sp, std::optional<Status> sm_opt,
   const bool mirror_dead = sm.code() == ErrorCode::kUnavailable;
   if (primary_dead && !mirror_dead && sm.ok() && mirror_issued) {
     if (co_await ReportDeviceDown(handle_.primary_endpoint)) {
-      ++writes_;
-      bytes_written_ += nbytes;
       co_return OkStatus();
     }
     co_return sp;
   }
   if (mirror_dead && !primary_dead && sp.ok()) {
     if (co_await ReportDeviceDown(handle_.mirror_endpoint)) {
-      ++writes_;
-      bytes_written_ += nbytes;
       co_return OkStatus();
     }
     co_return sm;
@@ -169,16 +157,49 @@ Task<Status> PmRegion::ResolveMirrored(Status sp, std::optional<Status> sm_opt,
   co_return sp.ok() ? sm : sp;
 }
 
-Task<Status> PmRegion::CompleteMirrored(sim::Future<Status> fp,
-                                        std::optional<sim::Future<Status>> fm,
-                                        std::uint64_t nbytes,
-                                        const char* span_name,
-                                        std::int64_t issued_ns,
-                                        std::uint64_t op_id) {
+Task<Status> PmRegion::WriteChain(std::vector<ScatterOp> ops,
+                                  std::uint64_t op_id) {
+  return IssueChain(std::move(ops), op_id, "pm.write_chain");
+}
+
+Task<Status> PmRegion::Write(std::uint64_t offset,
+                             std::vector<std::byte> data,
+                             std::uint64_t op_id) {
+  std::vector<ScatterOp> ops;
+  ops.push_back({offset, std::move(data)});
+  return IssueChain(std::move(ops), op_id, "pm.write");
+}
+
+Task<Status> PmRegion::IssueChain(std::vector<ScatterOp> ops,
+                                  std::uint64_t op_id,
+                                  const char* span_name) {
+  if (!valid()) co_return Status(ErrorCode::kFailedPrecondition, "unbound");
+  std::vector<net::ChainSegment> segments;
+  segments.reserve(ops.size());
+  std::uint64_t nbytes = 0;
+  for (ScatterOp& op : ops) {
+    if (op.offset + op.bytes.size() > handle_.length) {
+      co_return Status(ErrorCode::kOutOfRange, "write beyond region");
+    }
+    nbytes += op.bytes.size();
+    segments.push_back(
+        net::ChainSegment{handle_.nva + op.offset, std::move(op.bytes)});
+  }
+  net::Endpoint& ep = host_->cpu().endpoint();
+  const std::int64_t issued_ns = host_->sim().Now().ns;
+  // Issue to both mirrors in parallel; durability requires the chain to
+  // land on every up-to-date mirror.
+  auto fp = ep.StartWriteChain(net::EndpointId{handle_.primary_endpoint},
+                               segments, op_id, durability_);
+  std::optional<sim::Future<Status>> fm;
+  if (handle_.mirror_up) {
+    fm = ep.StartWriteChain(net::EndpointId{handle_.mirror_endpoint},
+                            std::move(segments), op_id, durability_);
+  }
   Status sp = co_await fp.Wait(*host_);
   std::optional<Status> sm;
   if (fm) sm = co_await fm->Wait(*host_);
-  Status st = co_await ResolveMirrored(std::move(sp), std::move(sm), nbytes);
+  Status st = co_await ResolveMirrored(std::move(sp), std::move(sm));
   if (Tracer* tr = host_->sim().tracer(); tr != nullptr && tr->enabled()) {
     tr->Complete(TraceLane::kPmClient, span_name, issued_ns,
                  host_->sim().Now().ns, op_id, "bytes", nbytes, "ok",
@@ -189,129 +210,6 @@ Task<Status> PmRegion::CompleteMirrored(sim::Future<Status> fp,
     }
   }
   co_return st;
-}
-
-PmWriteToken PmRegion::LaunchMirrored(sim::Future<Status> fp,
-                                      std::optional<sim::Future<Status>> fm,
-                                      std::uint64_t nbytes,
-                                      const char* span_name,
-                                      std::int64_t issued_ns,
-                                      std::uint64_t op_id) {
-  return PmWriteToken(
-      *host_, sim::SpawnTask(*host_, CompleteMirrored(std::move(fp),
-                                                      std::move(fm), nbytes,
-                                                      span_name, issued_ns,
-                                                      op_id)));
-}
-
-Task<Status> PmRegion::Write(std::uint64_t offset,
-                             std::vector<std::byte> data,
-                             std::uint64_t op_id) {
-  if (!valid()) co_return Status(ErrorCode::kFailedPrecondition, "unbound");
-  if (offset + data.size() > handle_.length) {
-    co_return Status(ErrorCode::kOutOfRange, "write beyond region");
-  }
-  net::Endpoint& ep = host_->cpu().endpoint();
-  const std::uint64_t nva = handle_.nva + offset;
-  const std::uint64_t nbytes = data.size();
-  const std::int64_t issued_ns = host_->sim().Now().ns;
-
-  // Issue to both mirrors in parallel; durability requires the write to
-  // land on every up-to-date mirror.
-  auto f_primary = ep.StartWrite(net::EndpointId{handle_.primary_endpoint},
-                                 nva, data, op_id, durability_);
-  std::optional<sim::Future<Status>> f_mirror;
-  if (handle_.mirror_up) {
-    f_mirror = ep.StartWrite(net::EndpointId{handle_.mirror_endpoint}, nva,
-                             std::move(data), op_id, durability_);
-  }
-  Status sp = co_await f_primary.Wait(*host_);
-  std::optional<Status> sm;
-  if (f_mirror) sm = co_await f_mirror->Wait(*host_);
-  Status st = co_await ResolveMirrored(std::move(sp), std::move(sm), nbytes);
-  if (Tracer* tr = host_->sim().tracer(); tr != nullptr && tr->enabled()) {
-    tr->Complete(TraceLane::kPmClient, "pm.write", issued_ns,
-                 host_->sim().Now().ns, op_id, "bytes", nbytes, "ok",
-                 st.ok() ? 1 : 0);
-    if (const char* pn = PersistSpanName(EffectiveDurability())) {
-      tr->Instant(TraceLane::kPmClient, pn, host_->sim().Now().ns, op_id,
-                  "ok", st.ok() ? 1 : 0);
-    }
-  }
-  co_return st;
-}
-
-PmWriteToken PmRegion::WriteAsync(std::uint64_t offset,
-                                  std::vector<std::byte> data,
-                                  std::uint64_t op_id) {
-  if (!valid()) {
-    return PmWriteToken(Status(ErrorCode::kFailedPrecondition, "unbound"));
-  }
-  if (offset + data.size() > handle_.length) {
-    return PmWriteToken(Status(ErrorCode::kOutOfRange, "write beyond region"));
-  }
-  net::Endpoint& ep = host_->cpu().endpoint();
-  const std::uint64_t nva = handle_.nva + offset;
-  const std::uint64_t nbytes = data.size();
-  const std::int64_t issued_ns = host_->sim().Now().ns;
-  // Both mirror legs are on the wire before this returns; completion
-  // (including failover) runs in a detached fiber behind the token.
-  auto fp = ep.StartWrite(net::EndpointId{handle_.primary_endpoint}, nva,
-                          data, op_id, durability_);
-  std::optional<sim::Future<Status>> fm;
-  if (handle_.mirror_up) {
-    fm = ep.StartWrite(net::EndpointId{handle_.mirror_endpoint}, nva,
-                       std::move(data), op_id, durability_);
-  }
-  return LaunchMirrored(std::move(fp), std::move(fm), nbytes,
-                        "pm.write_async", issued_ns, op_id);
-}
-
-PmWriteToken PmRegion::WriteChainAsync(std::vector<ScatterOp> ops,
-                                       std::uint64_t op_id) {
-  if (!valid()) {
-    return PmWriteToken(Status(ErrorCode::kFailedPrecondition, "unbound"));
-  }
-  std::vector<net::ChainSegment> segments;
-  segments.reserve(ops.size());
-  std::uint64_t nbytes = 0;
-  for (ScatterOp& op : ops) {
-    if (op.offset + op.bytes.size() > handle_.length) {
-      return PmWriteToken(
-          Status(ErrorCode::kOutOfRange, "chain write beyond region"));
-    }
-    nbytes += op.bytes.size();
-    segments.push_back(
-        net::ChainSegment{handle_.nva + op.offset, std::move(op.bytes)});
-  }
-  net::Endpoint& ep = host_->cpu().endpoint();
-  const std::int64_t issued_ns = host_->sim().Now().ns;
-  auto fp = ep.StartWriteChain(net::EndpointId{handle_.primary_endpoint},
-                               segments, op_id, durability_);
-  std::optional<sim::Future<Status>> fm;
-  if (handle_.mirror_up) {
-    fm = ep.StartWriteChain(net::EndpointId{handle_.mirror_endpoint},
-                            std::move(segments), op_id, durability_);
-  }
-  return LaunchMirrored(std::move(fp), std::move(fm), nbytes,
-                        "pm.write_chain", issued_ns, op_id);
-}
-
-Task<Status> PmRegion::WriteChain(std::vector<ScatterOp> ops,
-                                  std::uint64_t op_id) {
-  co_return co_await WriteChainAsync(std::move(ops), op_id).Wait();
-}
-
-Task<Status> PmRegion::WriteV(std::uint64_t offset,
-                              std::vector<std::vector<std::byte>> segments) {
-  std::size_t total = 0;
-  for (const auto& seg : segments) total += seg.size();
-  std::vector<std::byte> flat;
-  flat.reserve(total);
-  for (const auto& seg : segments) {
-    flat.insert(flat.end(), seg.begin(), seg.end());
-  }
-  co_return co_await Write(offset, std::move(flat));
 }
 
 Task<Status> PmRegion::WriteScatter(std::vector<ScatterOp> ops,
@@ -384,10 +282,6 @@ Task<Status> PmRegion::WriteScatter(std::vector<ScatterOp> ops,
     first_error = Status(ErrorCode::kUnavailable,
                          "device loss not recorded by PMM");
   }
-  if (first_error.ok()) {
-    ++writes_;
-    bytes_written_ += total;
-  }
   if (Tracer* tr = host_->sim().tracer(); tr != nullptr && tr->enabled()) {
     tr->Complete(TraceLane::kPmClient, "pm.write_scatter", issued_ns,
                  host_->sim().Now().ns, op_id, "bytes", total, "ops", n_ops);
@@ -397,68 +291,6 @@ Task<Status> PmRegion::WriteScatter(std::vector<ScatterOp> ops,
     }
   }
   co_return first_error;
-}
-
-// ------------------------------------------------------------------ token
-
-Task<Status> PmWriteToken::Wait() {
-  if (!pending_.has_value()) co_return immediate_;
-  co_return co_await pending_->Wait(*proc_);
-}
-
-// --------------------------------------------------------------- pipeline
-
-Task<void> PmWritePipeline::IssueStaged() {
-  // Backpressure: at depth, retire the oldest token first. Completion
-  // order is issue order (one ingress link per mirror), so the front
-  // token is the first to resolve.
-  while (inflight_.size() >= config_.queue_depth) {
-    PmWriteToken oldest = std::move(inflight_.front());
-    inflight_.pop_front();
-    Status st = co_await oldest.Wait();
-    if (!st.ok() && error_.ok()) error_ = st;
-  }
-  if (stats_ != nullptr) {
-    stats_->issued.Increment();
-    stats_->depth.Record(inflight_.size());
-  }
-  if (sim::Simulation* s = region_->simulation();
-      s != nullptr && s->tracer() != nullptr && s->tracer()->enabled()) {
-    s->tracer()->Instant(TraceLane::kPmClient, "pm.pipeline_issue",
-                         s->Now().ns, staged_op_id_, "depth",
-                         inflight_.size(), "bytes", staged_->bytes.size());
-  }
-  inflight_.push_back(region_->WriteAsync(
-      staged_->offset, std::move(staged_->bytes), staged_op_id_));
-  staged_.reset();
-  staged_op_id_ = 0;
-}
-
-Task<Status> PmWritePipeline::Submit(std::uint64_t offset,
-                                     std::vector<std::byte> bytes,
-                                     std::uint64_t op_id) {
-  if (staged_.has_value() && config_.coalesce_adjacent &&
-      staged_->offset + staged_->bytes.size() == offset &&
-      staged_->bytes.size() + bytes.size() <= config_.max_coalesce_bytes) {
-    staged_->bytes.insert(staged_->bytes.end(), bytes.begin(), bytes.end());
-    if (stats_ != nullptr) stats_->coalesced.Increment();
-    co_return error_;
-  }
-  if (staged_.has_value()) co_await IssueStaged();
-  staged_ = PmRegion::ScatterOp{offset, std::move(bytes)};
-  staged_op_id_ = op_id;
-  co_return error_;
-}
-
-Task<Status> PmWritePipeline::Drain() {
-  if (staged_.has_value()) co_await IssueStaged();
-  while (!inflight_.empty()) {
-    PmWriteToken t = std::move(inflight_.front());
-    inflight_.pop_front();
-    Status st = co_await t.Wait();
-    if (!st.ok() && error_.ok()) error_ = st;
-  }
-  co_return std::exchange(error_, OkStatus());
 }
 
 Task<Result<std::vector<std::byte>>> PmRegion::Read(std::uint64_t offset,
@@ -525,8 +357,7 @@ Task<Result<std::vector<std::byte>>> PmRegion::DeviceCommand(
   std::optional<Status> sm;
   if (fm) sm = (co_await fm->Wait(*host_)).status;
   std::vector<std::byte> response = std::move(rp.data);
-  Status st = co_await ResolveMirrored(std::move(rp.status), std::move(sm),
-                                       /*nbytes=*/0);
+  Status st = co_await ResolveMirrored(std::move(rp.status), std::move(sm));
   if (!st.ok()) co_return st;
   co_return response;
 }

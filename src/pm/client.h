@@ -14,12 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "nsk/process.h"
 #include "pm/manager.h"
 #include "pm/shard_map.h"
@@ -27,37 +25,6 @@
 namespace ods::pm {
 
 class PmClient;
-class PmRegion;
-
-// Completion token for an asynchronous mirrored write (WriteAsync,
-// WriteChainAsync). Resolves OK only once the data is persistent on every
-// up-to-date mirror — the same durability contract as the synchronous
-// Write; mirror failover (report to the PMM, continue on the survivor)
-// happens inside the token's completion path. Validation errors are born
-// ready. Awaiting a token does not consume it; Wait() after ready()
-// returns the cached status.
-class PmWriteToken {
- public:
-  PmWriteToken() = default;
-
-  // True once the final status is known.
-  [[nodiscard]] bool ready() const noexcept {
-    return !pending_.has_value() || pending_->ready();
-  }
-
-  // co_await token.Wait() -> Status. Blocks the issuing process's fiber.
-  sim::Task<Status> Wait();
-
- private:
-  friend class PmRegion;
-  explicit PmWriteToken(Status immediate) : immediate_(std::move(immediate)) {}
-  PmWriteToken(sim::Process& proc, sim::Future<Status> pending)
-      : proc_(&proc), pending_(std::move(pending)) {}
-
-  sim::Process* proc_ = nullptr;
-  std::optional<sim::Future<Status>> pending_;
-  Status immediate_;
-};
 
 // An open region bound to one host process. Byte-grained, synchronous.
 class PmRegion {
@@ -68,48 +35,36 @@ class PmRegion {
   [[nodiscard]] std::uint64_t size() const noexcept { return handle_.length; }
   [[nodiscard]] bool valid() const noexcept { return host_ != nullptr; }
 
-  // Synchronous write: mirrored to both NPMUs; returns once the data is
-  // persistent (on every up-to-date mirror) or an error.
+  // Ordered-chain write, the one PM write primitive: all segments go out
+  // as ONE chained RDMA op per mirror (a single software-latency
+  // initiation). Segments land strictly in order and a failure in segment
+  // k suppresses every later segment — the ordering the log device relies
+  // on to carry its control block behind the data it covers (§3.4).
+  // Returns once the chain is persistent on every up-to-date mirror
+  // (after failover to a survivor) or an error; a segment outside the
+  // region fails the whole chain before anything is issued.
   //
   // Every write/read takes a trailing `op_id` — an opaque correlation id
   // (0 = untagged) carried into the fabric's trace stream so one commit
   // can be followed across layers.
-  sim::Task<Status> Write(std::uint64_t offset, std::vector<std::byte> data,
-                          std::uint64_t op_id = 0);
-
-  // Non-blocking write: both mirror RDMAs are issued before this returns;
-  // the token resolves once both up mirrors acked (or after failover to a
-  // survivor). The software latency of later writes overlaps the wire
-  // time of earlier ones — the primitive under PmWritePipeline and the
-  // log device's pipelined append path.
-  PmWriteToken WriteAsync(std::uint64_t offset, std::vector<std::byte> data,
-                          std::uint64_t op_id = 0);
-
-  // Gather variant: the segments are written back-to-back at `offset` as
-  // one RDMA op per mirror (pointer-rich data without marshalling).
-  sim::Task<Status> WriteV(std::uint64_t offset,
-                           std::vector<std::vector<std::byte>> segments);
-
-  // Scatter variant: independent (offset, bytes) writes issued
-  // concurrently (RDMA queue depth) and awaited together — the data path
-  // for incremental pointer-fixing flushes (§3.4). Returns the first
-  // failure, but all writes are attempted.
   struct ScatterOp {
     std::uint64_t offset;
     std::vector<std::byte> bytes;
   };
-  sim::Task<Status> WriteScatter(std::vector<ScatterOp> ops,
-                                 std::uint64_t op_id = 0);
-
-  // Ordered-chain variant: all segments go out as ONE chained RDMA op per
-  // mirror (a single software-latency initiation). Segments land strictly
-  // in order and a failure in segment k suppresses every later segment —
-  // the ordering guarantee the log device relies on to piggyback its
-  // control block behind the data it covers (§3.4).
-  PmWriteToken WriteChainAsync(std::vector<ScatterOp> ops,
-                               std::uint64_t op_id = 0);
   sim::Task<Status> WriteChain(std::vector<ScatterOp> ops,
                                std::uint64_t op_id = 0);
+
+  // One-segment WriteChain.
+  sim::Task<Status> Write(std::uint64_t offset, std::vector<std::byte> data,
+                          std::uint64_t op_id = 0);
+
+  // Scatter variant: independent (offset, bytes) writes issued
+  // concurrently (RDMA queue depth) and awaited together — the data path
+  // for incremental pointer-fixing flushes (§3.4). Unlike a chain, each
+  // op succeeds or fails on its own. Returns the first failure, but all
+  // writes are attempted.
+  sim::Task<Status> WriteScatter(std::vector<ScatterOp> ops,
+                                 std::uint64_t op_id = 0);
 
   // Synchronous read from the primary mirror (failover to the other).
   sim::Task<Result<std::vector<std::byte>>> Read(std::uint64_t offset,
@@ -142,16 +97,6 @@ class PmRegion {
   // fabric default). Only meaningful on a bound region.
   [[nodiscard]] DurabilityMode EffectiveDurability() const noexcept;
 
-  // ---- accounting ----
-  [[nodiscard]] std::uint64_t writes() const noexcept { return writes_; }
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return bytes_written_;
-  }
-
-  // Simulation of the bound host (nullptr when unbound) — lets the write
-  // pipeline reach the tracer/metrics without knowing about nsk.
-  [[nodiscard]] sim::Simulation* simulation() noexcept;
-
   // Service name of the PMM pair owning this region (the routed shard).
   [[nodiscard]] const std::string& owner_service() const noexcept {
     return owner_service_;
@@ -175,76 +120,17 @@ class PmRegion {
   // single-mirror-dead failover (report + refresh + succeed on the
   // survivor), hard error otherwise. `sm` is nullopt when no mirror leg
   // was issued.
-  sim::Task<Status> ResolveMirrored(Status sp, std::optional<Status> sm,
-                                    std::uint64_t nbytes);
-  // Fiber body behind a PmWriteToken: awaits both legs, then resolves.
-  // `span_name` must be a string literal; the completion span runs from
-  // `issued_ns` (issue time) to resolution on the pm_client trace lane.
-  sim::Task<Status> CompleteMirrored(sim::Future<Status> fp,
-                                     std::optional<sim::Future<Status>> fm,
-                                     std::uint64_t nbytes,
-                                     const char* span_name,
-                                     std::int64_t issued_ns,
-                                     std::uint64_t op_id);
-  // Wraps the completion fiber for issued mirror legs into a token.
-  PmWriteToken LaunchMirrored(sim::Future<Status> fp,
-                              std::optional<sim::Future<Status>> fm,
-                              std::uint64_t nbytes, const char* span_name,
-                              std::int64_t issued_ns, std::uint64_t op_id);
+  sim::Task<Status> ResolveMirrored(Status sp, std::optional<Status> sm);
+  // WriteChain's body; `span_name` (a string literal) names the
+  // completion span on the pm_client trace lane.
+  sim::Task<Status> IssueChain(std::vector<ScatterOp> ops,
+                               std::uint64_t op_id, const char* span_name);
 
   PmClient* client_ = nullptr;
   nsk::NskProcess* host_ = nullptr;
   RegionHandle handle_;
   std::string owner_service_;
   std::optional<DurabilityMode> durability_;
-  std::uint64_t writes_ = 0;
-  std::uint64_t bytes_written_ = 0;
-};
-
-// Pipelines mirrored writes through a region at a configurable queue
-// depth. Writes are staged one op at a time; a submit adjacent to the
-// staged op is merged into it (one fabric op instead of two), and a full
-// queue exerts backpressure by awaiting the oldest in-flight token.
-// Single-submitter discipline: one fiber calls Submit/Drain. Durability
-// point is Drain(): it resolves once everything submitted so far is
-// persistent and returns the first error seen since the previous Drain.
-class PmWritePipeline {
- public:
-  struct Config {
-    std::size_t queue_depth = 8;   // max in-flight fabric ops
-    bool coalesce_adjacent = true;
-    std::size_t max_coalesce_bytes = 256 * 1024;
-  };
-
-  PmWritePipeline(PmRegion& region, Config config,
-                  PipelineStats* stats = nullptr) noexcept
-      : region_(&region), config_(config), stats_(stats) {}
-
-  // Queues a write of `bytes` at `offset`. Blocks only for backpressure
-  // (queue at depth), never for durability. `op_id` tags the staged
-  // fabric op for tracing; a coalesced submit keeps the first op's tag.
-  sim::Task<Status> Submit(std::uint64_t offset, std::vector<std::byte> bytes,
-                           std::uint64_t op_id = 0);
-
-  // Barrier: everything submitted before this call is durable (or failed)
-  // when it resolves. Clears the sticky error it returns.
-  sim::Task<Status> Drain();
-
-  [[nodiscard]] std::size_t in_flight() const noexcept {
-    return inflight_.size();
-  }
-
- private:
-  // Issues the staged op, first waiting out backpressure.
-  sim::Task<void> IssueStaged();
-
-  PmRegion* region_;
-  Config config_;
-  PipelineStats* stats_;
-  std::optional<PmRegion::ScatterOp> staged_;
-  std::uint64_t staged_op_id_ = 0;  // trace tag of the staged op
-  std::deque<PmWriteToken> inflight_;
-  Status error_;  // first failure since the last Drain
 };
 
 class PmClient {

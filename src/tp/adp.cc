@@ -70,8 +70,15 @@ Task<void> AdpProcess::OnBecomePrimary(bool via_takeover) {
       if (config_.retain_log_image) log_image_ = std::move(*log);
       state_valid_ = true;
     } else {
+      // The ADP keeps serving from LSN 1 / tail 0 — counted so a run can
+      // see it (the log line is off by default).
       ODS_WLOG("adp", "%s: log recovery failed: %s", name().c_str(),
                log.status().ToString().c_str());
+      if (recovery_failures_counter_ == nullptr) {
+        recovery_failures_counter_ =
+            &sim().metrics().GetCounter("adp.log_recovery_failures");
+      }
+      recovery_failures_counter_->Increment();
     }
   } else {
     // Promoted with checkpointed state: install the tail on the device.
@@ -224,8 +231,8 @@ Task<void> AdpProcess::FlushLoop() {
       ckpt.PutU64(confirmed);
       ckpt.PutU64(target);
       auto append_done = sim::SpawnTask(
-          *this, device_->AppendAligned(*this, std::move(batch),
-                                        std::move(marks), flush_op));
+          *this, device_->Append(*this, std::move(batch), std::move(marks),
+                                 flush_op));
       auto ckpt_done =
           sim::SpawnTask(*this, CheckpointToBackup(std::move(ckpt).Take()));
       st = co_await append_done.Wait(*this);

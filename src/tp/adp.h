@@ -173,10 +173,12 @@ class AdpProcess : public nsk::PairMember {
   std::uint64_t records_buffered_ = 0;
   std::uint64_t coalesced_checkpoints_ = 0;
   LatencyHistogram flush_latency_;
-  // Registry handles, resolved on first use (see FlushLoop).
+  // Registry handles, resolved on first use (see FlushLoop and
+  // OnBecomePrimary).
   Counter* flushes_counter_ = nullptr;
   Counter* flushed_bytes_counter_ = nullptr;
   LatencyHistogram* flush_latency_hist_ = nullptr;
+  Counter* recovery_failures_counter_ = nullptr;
   sim::SimDuration last_recovery_time_{0};
 };
 

@@ -37,49 +37,46 @@ std::vector<std::byte> EncodeAdpControl(std::uint64_t tail,
   return std::move(s).Take();
 }
 
-// Splits a ring write into at most two physical extents.
-template <typename WriteFn>
-Task<Status> RingWrite(std::uint64_t tail, std::uint64_t capacity,
-                       std::uint64_t base, std::vector<std::byte> bytes,
-                       WriteFn&& write) {
-  const std::uint64_t phys = tail % capacity;
-  const std::uint64_t first = std::min<std::uint64_t>(bytes.size(),
-                                                      capacity - phys);
-  if (first == bytes.size()) {
-    co_return co_await write(base + phys, std::move(bytes));
+// The PM log append: `bytes` land at physical ring position `phys` of a
+// `capacity`-byte ring that starts at region offset `data_base`, and
+// `control` at region offset 0 — as ONE chained write per mirror,
+// [data extent(s)..., control]. On wrap the data is two extents: up to
+// the ring end, then at the ring base. The chain lands its segments in
+// posting order and a failed segment aborts every later one, so the
+// control block (posted last) can never become durable before the data
+// it covers. An append whose wrapped extent runs past the region end
+// cannot land: its head extent is still written before the failure is
+// reported. The overloaded 1-shard cell of bench/scaleout_baseline.json
+// was measured with that link cost, so dropping it goes with re-pinning
+// that baseline (ROADMAP item 5).
+Task<Status> ChainedRingAppend(pm::PmRegion& region, std::uint64_t data_base,
+                               std::uint64_t capacity, std::uint64_t phys,
+                               std::vector<std::byte> bytes,
+                               std::vector<std::byte> control,
+                               std::uint64_t op_id) {
+  std::vector<pm::PmRegion::ScatterOp> ops;
+  ops.reserve(3);
+  if (phys + bytes.size() > capacity) {
+    const auto first = static_cast<std::ptrdiff_t>(capacity - phys);
+    std::vector<std::byte> head(bytes.begin(), bytes.begin() + first);
+    bytes.erase(bytes.begin(), bytes.begin() + first);
+    if (bytes.size() > capacity) {
+      auto st = co_await region.Write(data_base + phys, std::move(head), op_id);
+      if (!st.ok()) co_return st;
+      co_return Status(ErrorCode::kOutOfRange, "write beyond region");
+    }
+    ops.push_back({data_base + phys, std::move(head)});
+    ops.push_back({data_base, std::move(bytes)});
+  } else {
+    ops.push_back({data_base + phys, std::move(bytes)});
   }
-  std::vector<std::byte> head(bytes.begin(),
-                              bytes.begin() + static_cast<std::ptrdiff_t>(first));
-  std::vector<std::byte> rest(bytes.begin() + static_cast<std::ptrdiff_t>(first),
-                              bytes.end());
-  Status s1 = co_await write(base + phys, std::move(head));
-  if (!s1.ok()) co_return s1;
-  co_return co_await write(base, std::move(rest));
+  ops.push_back({0, std::move(control)});
+  co_return co_await region.WriteChain(std::move(ops), op_id);
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------- LogDevice
-
-Task<Status> LogDevice::AppendBatch(nsk::NskProcess& host,
-                                    std::vector<std::vector<std::byte>> batch,
-                                    std::uint64_t op_id) {
-  for (std::vector<std::byte>& bytes : batch) {
-    auto st = co_await Append(host, std::move(bytes), op_id);
-    if (!st.ok()) co_return st;
-  }
-  co_return OkStatus();
-}
-
-Task<Status> LogDevice::AppendAligned(nsk::NskProcess& host,
-                                      std::vector<std::byte> bytes,
-                                      std::vector<std::uint64_t> marks,
-                                      std::uint64_t op_id) {
-  // Not a coroutine: forward straight to Append (the hints are advisory
-  // and this device appends the bytes whole), adding no frame of its own.
-  (void)marks;
-  return Append(host, std::move(bytes), op_id);
-}
 
 Task<Result<LogDevice::RecoverySummary>> LogDevice::RecoverSummary(
     nsk::NskProcess& host) {
@@ -116,17 +113,26 @@ Task<Status> DiskLogDevice::Open(nsk::NskProcess& host) {
 
 Task<Status> DiskLogDevice::Append(nsk::NskProcess& host,
                                    std::vector<std::byte> bytes,
+                                   std::vector<std::uint64_t> marks,
                                    std::uint64_t op_id) {
+  (void)marks;  // appended whole
   (void)op_id;  // disk volumes sit below the traced fabric
   // Synchronous append: rotational wait (no write cache), then the
-  // sequential volume write.
+  // sequential volume write — split in two at the ring end on wrap.
   co_await host.Sleep(config_.sync_rotational_wait);
   const std::uint64_t n = bytes.size();
-  auto st = co_await RingWrite(
-      tail_, volume_.capacity(), 0, std::move(bytes),
-      [&](std::uint64_t off, std::vector<std::byte> b) -> Task<Status> {
-        co_return co_await volume_.Write(host, off, std::move(b));
-      });
+  const std::uint64_t cap = volume_.capacity();
+  const std::uint64_t phys = tail_ % cap;
+  Status st;
+  if (phys + n > cap) {
+    const auto first = static_cast<std::ptrdiff_t>(cap - phys);
+    std::vector<std::byte> head(bytes.begin(), bytes.begin() + first);
+    bytes.erase(bytes.begin(), bytes.begin() + first);
+    st = co_await volume_.Write(host, phys, std::move(head));
+    if (st.ok()) st = co_await volume_.Write(host, 0, std::move(bytes));
+  } else {
+    st = co_await volume_.Write(host, phys, std::move(bytes));
+  }
   if (st.ok()) tail_ += n;
   co_return st;
 }
@@ -215,72 +221,26 @@ Task<Status> PmLogDevice::Open(nsk::NskProcess& host) {
   if (!region.ok()) co_return region.status();
   region_ = std::move(*region);
   region_->set_durability(config_.durability);
-  pipeline_.emplace(*region_,
-                    pm::PmWritePipeline::Config{config_.pipeline_depth,
-                                                /*coalesce_adjacent=*/true,
-                                                /*max_coalesce_bytes=*/256 << 10},
-                    &stats_);
   co_return OkStatus();
 }
 
 Task<Status> PmLogDevice::Append(nsk::NskProcess& host,
                                  std::vector<std::byte> bytes,
+                                 std::vector<std::uint64_t> marks,
                                  std::uint64_t op_id) {
-  std::vector<std::vector<std::byte>> batch;
-  batch.push_back(std::move(bytes));
-  co_return co_await AppendBatch(host, std::move(batch), op_id);
-}
-
-Task<Status> PmLogDevice::AppendBatch(
-    nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-    std::uint64_t op_id) {
   (void)host;
+  (void)marks;  // appended whole: one chain carries every byte
   if (!region_) co_return Status(ErrorCode::kFailedPrecondition, "not open");
-  std::uint64_t n = 0;
-  for (const auto& b : batch) n += b.size();
+  const std::uint64_t n = bytes.size();
   if (n == 0) co_return OkStatus();
-  // The whole batch lands back-to-back at the tail; gather it into one
-  // contiguous image (the NIC's gather DMA, modelled as a memcpy).
-  std::vector<std::byte> flat;
-  if (batch.size() == 1) {
-    flat = std::move(batch.front());
-  } else {
-    flat.reserve(n);
-    for (const auto& b : batch) flat.insert(flat.end(), b.begin(), b.end());
-  }
-
-  const std::uint64_t cap = config_.region_bytes;
-  const bool wraps = Phys(tail_) + n > cap;
-  if (config_.piggyback_control && !wraps) {
-    // Fast path: data and the control block carrying the advanced tail go
-    // out as ONE chained RDMA op — a single software-latency round trip
-    // instead of two. The chain lands in posting order and aborts on
-    // error, so the tail pointer can never become durable before the data
-    // it covers (§3.4 recovery invariant holds without the second round).
-    const std::uint64_t new_tail = tail_ + n;
-    std::vector<pm::PmRegion::ScatterOp> ops;
-    ops.reserve(2);
-    ops.push_back({kDataBase + Phys(tail_), std::move(flat)});
-    ops.push_back({0, EncodeControlBlock(new_tail)});
-    auto st = co_await region_->WriteChain(std::move(ops), op_id);
-    if (!st.ok()) co_return st;
-    stats_.piggybacked.Increment();
-    tail_ = new_tail;
-    co_return OkStatus();
-  }
-
-  // Wrap / ablation path: pipeline the data extents, drain the pipeline,
-  // then write the control block as its own op — the seed's ordering
-  // (data fully durable before the tail pointer covers it).
-  auto st = co_await RingWrite(
-      tail_ - base_, cap, kDataBase, std::move(flat),
-      [&](std::uint64_t off, std::vector<std::byte> b) -> Task<Status> {
-        co_return co_await pipeline_->Submit(off, std::move(b), op_id);
-      });
-  if (st.ok()) st = co_await pipeline_->Drain();
+  const std::uint64_t new_tail = tail_ + n;
+  auto st = co_await ChainedRingAppend(*region_, kDataBase,
+                                       config_.region_bytes, Phys(tail_),
+                                       std::move(bytes),
+                                       EncodeControlBlock(new_tail), op_id);
   if (!st.ok()) co_return st;
-  tail_ += n;
-  co_return co_await region_->Write(0, EncodeControlBlock(tail_), op_id);
+  tail_ = new_tail;
+  co_return OkStatus();
 }
 
 Task<Result<std::vector<std::byte>>> PmLogDevice::RecoverLog(
@@ -489,90 +449,34 @@ Task<Status> ShardedPmLogDevice::Open(nsk::NskProcess& host) {
     streams.push_back(std::move(st));
   }
   streams_ = std::move(streams);
-  // Pipelines hold a PmRegion*, so they are created only once streams_
-  // has its final addresses (the vector never grows after this).
-  for (Stream& st : streams_) {
-    st.pipeline.emplace(
-        *st.region,
-        pm::PmWritePipeline::Config{config_.pipeline_depth,
-                                    /*coalesce_adjacent=*/true,
-                                    /*max_coalesce_bytes=*/256 << 10},
-        &stats_);
-  }
   tail_ = t_max;
   flush_seq_ = flushes;
   co_return OkStatus();
-}
-
-Task<Status> ShardedPmLogDevice::Append(nsk::NskProcess& host,
-                                        std::vector<std::byte> bytes,
-                                        std::uint64_t op_id) {
-  // No boundary hints: the append is one indivisible chunk (unstriped).
-  std::vector<std::uint64_t> whole{bytes.size()};
-  co_return co_await AppendAligned(host, std::move(bytes), std::move(whole),
-                                   op_id);
 }
 
 Task<Status> ShardedPmLogDevice::StripeAppend(Stream& st,
                                               std::vector<std::byte> framed,
                                               std::uint64_t new_global,
                                               std::uint64_t op_id) {
+  // One chained RDMA per stripe: the stream's framed data, then its
+  // control block, so the per-stream control never covers un-landed data.
   const std::uint64_t fn = framed.size();
-  const std::uint64_t cap = config_.region_bytes;
   const std::uint64_t new_epoch = st.epoch + 1;
-  const bool wraps = (st.tail % cap) + fn > cap;
-  if (config_.piggyback_control && !wraps) {
-    // One chained RDMA per stripe: the stream's framed data, then its
-    // control block. In-order/abort-on-error chain semantics keep the
-    // per-stream control from ever covering un-landed data.
-    std::vector<pm::PmRegion::ScatterOp> ops;
-    ops.reserve(2);
-    ops.push_back({kStreamDataBase + (st.tail % cap), std::move(framed)});
-    ops.push_back({0, EncodeStreamControl(new_epoch, st.tail + fn,
-                                          new_global)});
-    auto status = co_await st.region->WriteChain(std::move(ops), op_id);
-    if (!status.ok()) co_return status;
-    stats_.piggybacked.Increment();
-  } else {
-    auto status = co_await RingWrite(
-        st.tail, cap, kStreamDataBase, std::move(framed),
-        [&](std::uint64_t off, std::vector<std::byte> b) -> Task<Status> {
-          co_return co_await st.pipeline->Submit(off, std::move(b), op_id);
-        });
-    if (status.ok()) status = co_await st.pipeline->Drain();
-    if (!status.ok()) co_return status;
-    status = co_await st.region->Write(
-        0, EncodeStreamControl(new_epoch, st.tail + fn, new_global), op_id);
-    if (!status.ok()) co_return status;
-  }
+  auto status = co_await ChainedRingAppend(
+      *st.region, kStreamDataBase, config_.region_bytes,
+      st.tail % config_.region_bytes, std::move(framed),
+      EncodeStreamControl(new_epoch, st.tail + fn, new_global), op_id);
+  if (!status.ok()) co_return status;
   st.tail += fn;
   st.epoch = new_epoch;
   st.global_tail = new_global;
   co_return OkStatus();
 }
 
-Task<Status> ShardedPmLogDevice::AppendBatch(
-    nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-    std::uint64_t op_id) {
-  // Each batch element is an indivisible chunk: gather and stripe with
-  // cuts only at chunk ends.
-  std::uint64_t n = 0;
-  for (const auto& b : batch) n += b.size();
-  std::vector<std::byte> flat;
-  flat.reserve(n);
-  std::vector<std::uint64_t> marks;
-  marks.reserve(batch.size());
-  for (const auto& b : batch) {
-    flat.insert(flat.end(), b.begin(), b.end());
-    marks.push_back(flat.size());
-  }
-  co_return co_await AppendAligned(host, std::move(flat), std::move(marks),
-                                   op_id);
-}
-
-Task<Status> ShardedPmLogDevice::AppendAligned(
-    nsk::NskProcess& host, std::vector<std::byte> flat,
-    std::vector<std::uint64_t> marks, std::uint64_t op_id) {
+Task<Status> ShardedPmLogDevice::Append(nsk::NskProcess& host,
+                                        std::vector<std::byte> flat,
+                                        std::vector<std::uint64_t> marks,
+                                        std::uint64_t op_id) {
   if (streams_.empty()) {
     co_return Status(ErrorCode::kFailedPrecondition, "not open");
   }
@@ -584,6 +488,7 @@ Task<Status> ShardedPmLogDevice::AppendAligned(
   // small for stripes of kMinStripeBytes to be worth their control
   // commits — snapping each cut DOWN to a record boundary so that a
   // recovery truncated at any stripe edge still ends on a whole record.
+  // No marks: no boundary to cut at, so the append stays one stripe.
   const std::size_t k_target =
       static_cast<std::size_t>(std::clamp<std::uint64_t>(
           n / kMinStripeBytes, 1, static_cast<std::uint64_t>(S)));

@@ -7,15 +7,14 @@
 //
 //  * PmLogDevice — the paper's modified ADP (§4.2): audit written
 //    synchronously to a persistent-memory region, i.e. tens of
-//    microseconds. When the ring does not wrap, an append is ONE chained
-//    RDMA op — the data segments plus a small control block carrying the
-//    durable tail as the final gather segment (the chain's in-order,
-//    abort-on-error semantics keep the tail from ever covering un-landed
-//    data). On wrap, or with piggybacking disabled for ablation, data is
-//    pipelined and the control block written separately afterwards. The
-//    fine-grained control block is what eliminates "costly heuristic
-//    searching of audit trail information" at recovery (§3.4): recovery
-//    reads the tail pointer directly instead of scanning the log.
+//    microseconds. Every append is ONE chained RDMA op per mirror: the
+//    data extent(s) — two when the ring wraps — then a small control
+//    block carrying the durable tail as the final segment (the chain's
+//    in-order, abort-on-error semantics keep the tail from ever covering
+//    un-landed data). The fine-grained control block is what eliminates
+//    "costly heuristic searching of audit trail information" at recovery
+//    (§3.4): recovery reads the tail pointer directly instead of
+//    scanning the log.
 //
 // Both devices are logically infinite ring buffers: physical offsets wrap
 // modulo capacity. Recovery (ReadLog) requires the retained suffix to fit
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "common/durability.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "nsk/process.h"
 #include "pm/client.h"
@@ -45,36 +43,19 @@ class LogDevice {
   virtual sim::Task<Status> Open(nsk::NskProcess& host) = 0;
 
   // Durably appends `bytes` at the logical tail; returns once durable.
-  // `op_id` is a trace correlation id (0 = untagged) threaded down to the
-  // fabric. Virtual default arguments resolve statically, so overrides
-  // restate exactly `op_id = 0` (callers hold concrete devices too).
+  // `marks` are the ascending ends (relative offsets) of the whole
+  // records inside `bytes`; empty = the bytes are one indivisible chunk.
+  // A device that splits an append internally (the sharded device
+  // stripes it across shards) cuts only at marks, so a recovery truncated
+  // at any internal boundary still ends on a parseable record; the others
+  // append the bytes whole. `op_id` is a trace correlation id (0 =
+  // untagged) threaded down to the fabric. Virtual default arguments
+  // resolve statically, so overrides restate exactly these defaults
+  // (callers hold concrete devices too).
   virtual sim::Task<Status> Append(nsk::NskProcess& host,
                                    std::vector<std::byte> bytes,
+                                   std::vector<std::uint64_t> marks = {},
                                    std::uint64_t op_id = 0) = 0;
-
-  // Durably appends every element of `batch` in order; returns once all
-  // are durable. One group-commit flush should be one call here: devices
-  // that can pipeline (PM) turn the whole batch into a single fabric op
-  // instead of a write-per-record. Default: sequential Appends.
-  virtual sim::Task<Status> AppendBatch(
-      nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-      std::uint64_t op_id = 0);
-
-  // Append with record-boundary hints: `marks` are the ascending ends
-  // (relative offsets) of the whole records inside `bytes`. A device
-  // that splits an append internally (the sharded device stripes it
-  // across shards) must cut only at marks, so a recovery truncated at
-  // any internal boundary still ends on a parseable record. The default
-  // ignores the hints and appends the bytes whole.
-  virtual sim::Task<Status> AppendAligned(nsk::NskProcess& host,
-                                          std::vector<std::byte> bytes,
-                                          std::vector<std::uint64_t> marks,
-                                          std::uint64_t op_id = 0);
-
-  // Pipelining instrumentation, when the device has any (PM only).
-  [[nodiscard]] virtual const PipelineStats* pipeline_stats() const noexcept {
-    return nullptr;
-  }
 
   // Recovery with no surviving in-memory state: locate the durable tail
   // and return the retained log image (in log order). The time this takes
@@ -143,6 +124,7 @@ class DiskLogDevice final : public LogDevice {
 
   sim::Task<Status> Open(nsk::NskProcess& host) override;
   sim::Task<Status> Append(nsk::NskProcess& host, std::vector<std::byte> bytes,
+                           std::vector<std::uint64_t> marks = {},
                            std::uint64_t op_id = 0) override;
   sim::Task<Result<std::vector<std::byte>>> RecoverLog(
       nsk::NskProcess& host) override;
@@ -164,13 +146,6 @@ struct PmLogConfig {
   std::string pmm_service = "$PMM";
   std::string region_name;          // unique per ADP, e.g. "audit-$ADP0"
   std::uint64_t region_bytes = 48ull << 20;
-  // Carry the control block as the final gather segment of the data RDMA
-  // when the ring does not wrap (one fabric round trip per append instead
-  // of two). Off = the seed's serialized data-then-control path, kept as
-  // an ablation knob.
-  bool piggyback_control = true;
-  // Queue depth of the write pipeline used on the non-piggybacked path.
-  std::size_t pipeline_depth = 8;
   // Per-log override of the fabric-wide remote-durability mode
   // (common/durability.h); nullopt = FabricConfig::durability_mode.
   std::optional<DurabilityMode> durability;
@@ -189,10 +164,8 @@ class PmLogDevice final : public LogDevice {
 
   sim::Task<Status> Open(nsk::NskProcess& host) override;
   sim::Task<Status> Append(nsk::NskProcess& host, std::vector<std::byte> bytes,
+                           std::vector<std::uint64_t> marks = {},
                            std::uint64_t op_id = 0) override;
-  sim::Task<Status> AppendBatch(
-      nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-      std::uint64_t op_id = 0) override;
   sim::Task<Result<std::vector<std::byte>>> RecoverLog(
       nsk::NskProcess& host) override;
   sim::Task<Result<RecoverySummary>> RecoverSummary(
@@ -206,11 +179,7 @@ class PmLogDevice final : public LogDevice {
   [[nodiscard]] std::uint64_t tail() const noexcept override { return tail_; }
   void set_tail(std::uint64_t tail) noexcept override { tail_ = tail; }
   [[nodiscard]] std::string_view kind() const noexcept override { return "pm"; }
-  [[nodiscard]] const PipelineStats* pipeline_stats() const noexcept override {
-    return &stats_;
-  }
   void Reset() noexcept override {
-    pipeline_.reset();
     region_.reset();
     tail_ = 0;
     base_ = 0;
@@ -233,8 +202,6 @@ class PmLogDevice final : public LogDevice {
 
   PmLogConfig config_;
   std::optional<pm::PmRegion> region_;
-  std::optional<pm::PmWritePipeline> pipeline_;
-  PipelineStats stats_;
   std::uint64_t tail_ = 0;
   // Logical offset of the first retained byte (> 0 after a Compact).
   std::uint64_t base_ = 0;
@@ -247,8 +214,6 @@ struct ShardedPmLogConfig {
   pm::ShardMap map;            // shard count + service naming
   std::string region_prefix;   // stream k's region is prefix + k
   std::uint64_t region_bytes = 48ull << 20;  // per stream
-  bool piggyback_control = true;
-  std::size_t pipeline_depth = 8;
   // Per-log override of the fabric-wide remote-durability mode, applied
   // to every stream region (nullopt = FabricConfig::durability_mode).
   std::optional<DurabilityMode> durability;
@@ -291,7 +256,9 @@ struct ShardedPmLogConfig {
 // interval — and a flush that still cannot complete poisons the device:
 // accepting later appends above an unrepaired hole would let an acked
 // byte land beyond a gap, breaking I4. The poisoned primary keeps
-// failing flushes until takeover or restart re-anchors the log.
+// failing flushes until takeover or restart re-anchors the log. A
+// stripe whose wrapped extent runs past its stream's region end fails
+// on every stream, so it too poisons the device.
 class ShardedPmLogDevice final : public LogDevice {
  public:
   explicit ShardedPmLogDevice(ShardedPmLogConfig config)
@@ -299,14 +266,8 @@ class ShardedPmLogDevice final : public LogDevice {
 
   sim::Task<Status> Open(nsk::NskProcess& host) override;
   sim::Task<Status> Append(nsk::NskProcess& host, std::vector<std::byte> bytes,
+                           std::vector<std::uint64_t> marks = {},
                            std::uint64_t op_id = 0) override;
-  sim::Task<Status> AppendBatch(
-      nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-      std::uint64_t op_id = 0) override;
-  sim::Task<Status> AppendAligned(nsk::NskProcess& host,
-                                  std::vector<std::byte> bytes,
-                                  std::vector<std::uint64_t> marks,
-                                  std::uint64_t op_id = 0) override;
   sim::Task<Result<std::vector<std::byte>>> RecoverLog(
       nsk::NskProcess& host) override;
   sim::Task<Result<RecoverySummary>> RecoverSummary(
@@ -316,9 +277,6 @@ class ShardedPmLogDevice final : public LogDevice {
   void set_tail(std::uint64_t tail) noexcept override { tail_ = tail; }
   [[nodiscard]] std::string_view kind() const noexcept override {
     return "pm-sharded";
-  }
-  [[nodiscard]] const PipelineStats* pipeline_stats() const noexcept override {
-    return &stats_;
   }
   void Reset() noexcept override {
     streams_.clear();
@@ -344,7 +302,6 @@ class ShardedPmLogDevice final : public LogDevice {
 
   struct Stream {
     std::optional<pm::PmRegion> region;
-    std::optional<pm::PmWritePipeline> pipeline;
     std::uint64_t tail = 0;   // framed bytes appended to this stream
     std::uint64_t epoch = 0;  // stripes committed to this stream
     std::uint64_t global_tail = 0;  // global tail at the last commit
@@ -354,17 +311,15 @@ class ShardedPmLogDevice final : public LogDevice {
       std::uint64_t epoch, std::uint64_t stream_tail,
       std::uint64_t global_tail) const;
 
-  // Writes one already-framed stripe to `st` (data + control in one
-  // chain, or the ring/pipeline path on wrap) and commits the stream's
-  // in-memory state on success. Stripes of one flush run in parallel,
-  // each on its own stream.
+  // Writes one already-framed stripe to `st` (data extent(s) + control
+  // in one chain) and commits the stream's in-memory state on success.
+  // Stripes of one flush run in parallel, each on its own stream.
   sim::Task<Status> StripeAppend(Stream& st, std::vector<std::byte> framed,
                                  std::uint64_t new_global,
                                  std::uint64_t op_id);
 
   ShardedPmLogConfig config_;
   std::vector<Stream> streams_;
-  PipelineStats stats_;
   std::uint64_t tail_ = 0;       // global logical tail (payload bytes)
   std::uint64_t flush_seq_ = 0;  // total committed flushes (round-robin)
   // Set when a flush could not land on any stream: appending above the

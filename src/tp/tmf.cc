@@ -87,7 +87,7 @@ Task<void> TmfProcess::NoteState(std::uint64_t txn, TxnState state) {
     rec.key = static_cast<std::uint64_t>(state);
     std::vector<std::byte> framed;
     FrameRecord(rec, framed);
-    (void)co_await tcb_log_->Append(*this, std::move(framed), txn);
+    (void)co_await tcb_log_->Append(*this, std::move(framed), {}, txn);
   }
   (void)co_await CheckpointToBackup(std::move(entry));
 }

@@ -242,9 +242,6 @@ HotStockResult RunHotStock(Rig& rig, const HotStockConfig& config) {
   for (tp::AdpProcess* adp : rig.adps()) {
     result.flushes += adp->flushes();
     result.coalesced_checkpoints += adp->coalesced_checkpoints();
-    if (const PipelineStats* ps = adp->device().pipeline_stats()) {
-      result.piggybacked_controls += ps->piggybacked.value();
-    }
   }
   return result;
 }

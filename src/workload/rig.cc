@@ -141,8 +141,6 @@ void Rig::BuildAdps() {
         sh_cfg.map = shard_map_;
         sh_cfg.region_prefix = "audit-" + service + "-s";
         sh_cfg.region_bytes = config_.pm_log_region_bytes;
-        sh_cfg.piggyback_control = config_.pm_piggyback;
-        sh_cfg.pipeline_depth = config_.pm_pipeline_depth;
         sh_cfg.offload = config_.pm_offload;
         return std::make_unique<tp::ShardedPmLogDevice>(sh_cfg);
       }
@@ -150,8 +148,6 @@ void Rig::BuildAdps() {
       pm_cfg.pmm_service = "$PMM";
       pm_cfg.region_name = "audit-" + service;
       pm_cfg.region_bytes = config_.pm_log_region_bytes;
-      pm_cfg.piggyback_control = config_.pm_piggyback;
-      pm_cfg.pipeline_depth = config_.pm_pipeline_depth;
       pm_cfg.offload = config_.pm_offload;
       return std::make_unique<tp::PmLogDevice>(pm_cfg);
     };

@@ -249,23 +249,6 @@ TEST_F(PmFixture, AccessControlBlocksOtherCpus) {
       << "the NPMU ATT must enforce access control in hardware";
 }
 
-TEST_F(PmFixture, WriteVGathersSegments) {
-  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
-    PmClient client(self, "$PMM");
-    auto region = co_await client.Create("r1", 4096);
-    EXPECT_TRUE(region.ok());
-    std::vector<std::vector<std::byte>> segs = {Fill(10, 0x01), Fill(20, 0x02),
-                                                Fill(30, 0x03)};
-    EXPECT_TRUE((co_await region->WriteV(0, std::move(segs))).ok());
-    auto back = co_await region->Read(0, 60);
-    EXPECT_TRUE(back.ok());
-    EXPECT_EQ((*back)[0], std::byte{0x01});
-    EXPECT_EQ((*back)[10], std::byte{0x02});
-    EXPECT_EQ((*back)[30], std::byte{0x03});
-  });
-  sim.Run();
-}
-
 // ----------------------------------------------------------- PMM failover
 
 TEST_F(PmFixture, PmmFailoverPreservesRegions) {
@@ -513,94 +496,56 @@ TEST_F(PmpFixture, PmpBehavesLikeNpmuOnTheWire) {
   EXPECT_TRUE(done);
 }
 
-// ------------------------------------------------- async writes / pipeline
+// ------------------------------------------------------- chained writes
 
-TEST_F(PmFixture, WriteAsyncTokensResolveMirrored) {
+TEST_F(PmFixture, WriteChainSurvivesMirrorFailure) {
+  // A multi-segment chain issued after the mirror NPMU died must succeed
+  // on the survivor (every segment landed, in order) and report the dead
+  // device to the PMM.
   sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
     PmClient client(self, "$PMM");
     auto region = co_await client.Create("r1", 64 * 1024);
     EXPECT_TRUE(region.ok());
-    // Several writes on the wire at once; each token independently
-    // awaitable, all durable on both devices afterwards.
-    PmWriteToken t1 = region->WriteAsync(0, Fill(512, 0x01));
-    PmWriteToken t2 = region->WriteAsync(512, Fill(512, 0x02));
-    PmWriteToken t3 = region->WriteAsync(1024, Fill(512, 0x03));
-    EXPECT_TRUE((co_await t1.Wait()).ok());
-    EXPECT_TRUE((co_await t2.Wait()).ok());
-    EXPECT_TRUE((co_await t3.Wait()).ok());
-    EXPECT_TRUE(t3.ready());
-    // Waiting a resolved token again returns the cached status.
-    EXPECT_TRUE((co_await t3.Wait()).ok());
+    EXPECT_TRUE((co_await region->Write(0, Fill(256, 0x10))).ok());
+    npmu_b.Fail();  // mirror dies with writes still to come
+    std::vector<PmRegion::ScatterOp> ops;
+    ops.push_back({256, Fill(256, 0x20)});
+    ops.push_back({8192, Fill(700, 0x30)});
+    ops.push_back({0, Fill(16, 0x40)});
+    auto st = co_await region->WriteChain(std::move(ops));
+    EXPECT_TRUE(st.ok()) << "chain must succeed on the survivor: "
+                         << st.ToString();
+    auto back = co_await region->Read(0, 512);
+    EXPECT_TRUE(back.ok());
+    EXPECT_EQ((*back)[0], std::byte{0x40});
+    EXPECT_EQ((*back)[16], std::byte{0x10});
+    EXPECT_EQ((*back)[256], std::byte{0x20});
   });
   sim.RunUntil(SimTime{Seconds(5).ns});
-  EXPECT_EQ(npmu_a.data_memory()[0], std::byte{0x01});
-  EXPECT_EQ(npmu_b.data_memory()[1025], std::byte{0x03});
+  EXPECT_FALSE(pmm_p->mirror_up()) << "dead mirror must be reported";
+  EXPECT_EQ(npmu_a.data_memory()[8192 + 699], std::byte{0x30});
 }
 
-TEST_F(PmFixture, WriteAsyncOutOfRangeIsBornReady) {
+TEST_F(PmFixture, WriteChainOutOfRangeIssuesNothing) {
+  // One segment beyond the region fails the whole chain before any RDMA
+  // is posted: no earlier segment lands either.
+  std::uint64_t ops_before = 0;
+  std::uint64_t ops_after = 0;
   sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
     PmClient client(self, "$PMM");
     auto region = co_await client.Create("r1", 4096);
     EXPECT_TRUE(region.ok());
-    PmWriteToken t = region->WriteAsync(4096 - 8, Fill(64, 0xFF));
-    EXPECT_TRUE(t.ready());
-    EXPECT_EQ((co_await t.Wait()).code(), ErrorCode::kOutOfRange);
+    ops_before = cluster.fabric().rdma_write_ops();
+    std::vector<PmRegion::ScatterOp> ops;
+    ops.push_back({0, Fill(64, 0xEE)});
+    ops.push_back({4096 - 8, Fill(64, 0xFF)});
+    auto st = co_await region->WriteChain(std::move(ops));
+    EXPECT_EQ(st.code(), ErrorCode::kOutOfRange);
+    ops_after = cluster.fabric().rdma_write_ops();
   });
   sim.RunUntil(SimTime{Seconds(2).ns});
-}
-
-TEST_F(PmFixture, WriteAsyncAndDrainSurviveMirrorFailure) {
-  // The issue's acceptance case: a pipeline of async writes with one
-  // mirror down mid-stream must drain OK (durability on the survivor)
-  // and report the dead device to the PMM.
-  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
-    PmClient client(self, "$PMM");
-    auto region = co_await client.Create("r1", 64 * 1024);
-    EXPECT_TRUE(region.ok());
-    PmWritePipeline pipe(*region, PmWritePipeline::Config{4, false, 0});
-    EXPECT_TRUE((co_await pipe.Submit(0, Fill(256, 0x10))).ok());
-    EXPECT_TRUE((co_await pipe.Drain()).ok());
-    npmu_b.Fail();  // mirror dies with writes still to come
-    EXPECT_TRUE((co_await pipe.Submit(256, Fill(256, 0x20))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(512, Fill(256, 0x30))).ok());
-    auto st = co_await pipe.Drain();
-    EXPECT_TRUE(st.ok()) << "drain must succeed on the survivor: "
-                         << st.ToString();
-    auto back = co_await region->Read(0, 768);
-    EXPECT_TRUE(back.ok());
-    EXPECT_EQ((*back)[256], std::byte{0x20});
-    EXPECT_EQ((*back)[512], std::byte{0x30});
-  });
-  sim.RunUntil(SimTime{Seconds(5).ns});
-  EXPECT_FALSE(pmm_p->mirror_up()) << "dead mirror must be reported";
-  EXPECT_EQ(npmu_a.data_memory()[512], std::byte{0x30});
-}
-
-TEST_F(PmFixture, PipelineCoalescesAdjacentSubmits) {
-  PipelineStats stats;
-  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
-    PmClient client(self, "$PMM");
-    auto region = co_await client.Create("r1", 64 * 1024);
-    EXPECT_TRUE(region.ok());
-    const std::uint64_t writes_before = region->writes();
-    PmWritePipeline pipe(*region, PmWritePipeline::Config{8, true, 1 << 20},
-                         &stats);
-    // Four back-to-back extents: one staged op, three merged into it.
-    EXPECT_TRUE((co_await pipe.Submit(0, Fill(128, 0x01))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(128, Fill(128, 0x02))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(256, Fill(128, 0x03))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(384, Fill(128, 0x04))).ok());
-    EXPECT_TRUE((co_await pipe.Drain()).ok());
-    EXPECT_EQ(region->writes() - writes_before, 1u)
-        << "adjacent submits must ride one mirrored op";
-    auto back = co_await region->Read(0, 512);
-    EXPECT_TRUE(back.ok());
-    EXPECT_EQ((*back)[0], std::byte{0x01});
-    EXPECT_EQ((*back)[511], std::byte{0x04});
-  });
-  sim.RunUntil(SimTime{Seconds(5).ns});
-  EXPECT_EQ(stats.coalesced.value(), 3u);
-  EXPECT_EQ(stats.issued.value(), 1u);
+  EXPECT_EQ(ops_after, ops_before);
+  EXPECT_EQ(npmu_a.data_memory()[0], std::byte{0});
 }
 
 TEST_F(PmFixture, WriteScatterReportsDeadMirrorAndSucceedsOnSurvivor) {

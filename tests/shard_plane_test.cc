@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/fabric.h"
 #include "nsk/cluster.h"
 #include "pm/manager.h"
 #include "pm/npmu.h"
@@ -227,17 +228,28 @@ TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index) {
   dcfg.region_prefix = "audit-T-s";
   dcfg.region_bytes = 2ull << 20;
 
-  // The flush's chunk list and its contribution to the logical log.
+  // The flush's bytes, its record-boundary marks (one per chunk), and
+  // its contribution to the logical log.
+  struct Flush {
+    std::vector<std::byte> bytes;
+    std::vector<std::uint64_t> marks;
+  };
   auto build_flush = [&](int f) {
-    std::vector<std::vector<std::byte>> batch;
+    Flush flush;
     for (int c = 0; c < 8; ++c) {
-      batch.push_back(BigChunk(1 + static_cast<std::uint64_t>(f) * 8 +
-                               static_cast<std::uint64_t>(c)));
-      out.expected.insert(out.expected.end(), batch.back().begin(),
-                          batch.back().end());
+      const std::vector<std::byte> chunk =
+          BigChunk(1 + static_cast<std::uint64_t>(f) * 8 +
+                   static_cast<std::uint64_t>(c));
+      flush.bytes.insert(flush.bytes.end(), chunk.begin(), chunk.end());
+      flush.marks.push_back(flush.bytes.size());
+      out.expected.insert(out.expected.end(), chunk.begin(), chunk.end());
       out.boundaries.push_back(out.expected.size());
     }
-    return batch;
+    return flush;
+  };
+  auto append = [&](tp::ShardedPmLogDevice& dev, TestProcess& self,
+                    Flush flush) {
+    return dev.Append(self, std::move(flush.bytes), std::move(flush.marks));
   };
 
   TestProcess& writer = sim.Adopt<TestProcess>(
@@ -245,12 +257,12 @@ TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index) {
         tp::ShardedPmLogDevice dev(dcfg);
         ASSERT_CO(co_await dev.Open(self));
         for (int f = 0; f < kFlushes - 1; ++f) {
-          ASSERT_CO(co_await dev.AppendBatch(self, build_flush(f)));
+          ASSERT_CO(co_await append(dev, self, build_flush(f)));
           out.acked_tail = dev.tail();
         }
         out.pre_final_sites = plan.sites_reached();
         const Status st =
-            co_await dev.AppendBatch(self, build_flush(kFlushes - 1));
+            co_await append(dev, self, build_flush(kFlushes - 1));
         out.final_acked = st.ok();
       });
   if (crash_index.has_value()) {
@@ -372,6 +384,73 @@ TEST(ShardedLogRecovery, TornFlushSweepHoldsInvariants) {
     EXPECT_TRUE(r.idempotent);
     EXPECT_TRUE(r.post_append_ok);
   }
+}
+
+// A one-shard plane with a 4096-byte stream ring. A 6000-byte flush at
+// stream position 3012 (one 3000-byte frame already there) is one
+// 6012-byte stripe whose wrapped extent would run past the region end.
+// Each attempt sends the 1084-byte head extent to both mirrors and then
+// fails; the retry on the "next" stream is the same stream and fails the
+// same way, so the flush poisons the device: later appends fail without
+// touching the fabric, and the durable log still ends at the acked tail.
+TEST(ShardedLogOversize, StripePastTheRegionEndPoisonsTheDevice) {
+  sim::Simulation sim(5);
+  nsk::ClusterConfig ccfg;
+  ccfg.num_cpus = 4;
+  nsk::Cluster cluster(sim, ccfg);
+  const pm::ShardMap map("$PMM", 1);
+  pm::Npmu a(cluster.fabric(), "npmu-a");
+  pm::Npmu b(cluster.fabric(), "npmu-b");
+  const std::string service = map.ServiceForShard(0);
+  auto& p = sim.AdoptStopped<pm::PmManager>(
+      cluster, 0, service, service + "-P", pm::PmDevice(a), pm::PmDevice(b),
+      "$PM1-0", pm::ShardIdentity{0, 1});
+  auto& bk = sim.AdoptStopped<pm::PmManager>(
+      cluster, 1, service, service + "-B", pm::PmDevice(a), pm::PmDevice(b),
+      "$PM1-0", pm::ShardIdentity{0, 1});
+  p.SetPeer(&bk);
+  bk.SetPeer(&p);
+  p.Start();
+  bk.Start();
+
+  tp::ShardedPmLogConfig dcfg;
+  dcfg.map = map;
+  dcfg.region_prefix = "audit-O-s";
+  dcfg.region_bytes = 4096;
+  auto fill = [](std::size_t n, std::uint8_t v) {
+    return std::vector<std::byte>(n, std::byte{v});
+  };
+
+  bool done = false;
+  sim.Adopt<TestProcess>(
+      cluster, 2, "writer", [&](TestProcess& self) -> Task<void> {
+        tp::ShardedPmLogDevice dev(dcfg);
+        ASSERT_CO(co_await dev.Open(self));
+        ASSERT_CO(co_await dev.Append(self, fill(3000, 1)));
+
+        const net::Fabric& fabric = cluster.fabric();
+        const std::uint64_t ops0 = fabric.rdma_write_ops();
+        const Status st = co_await dev.Append(self, fill(6000, 2));
+        EXPECT_EQ(st.code(), ErrorCode::kOutOfRange) << st.ToString();
+        // Two attempts, each one head-extent write per mirror.
+        EXPECT_EQ(fabric.rdma_write_ops() - ops0, 4u);
+        EXPECT_EQ(dev.tail(), 3000u);
+
+        const std::uint64_t ops1 = fabric.rdma_write_ops();
+        const Status later = co_await dev.Append(self, fill(100, 3));
+        EXPECT_EQ(later.code(), ErrorCode::kOutOfRange) << later.ToString();
+        EXPECT_EQ(fabric.rdma_write_ops(), ops1);
+        EXPECT_EQ(dev.tail(), 3000u);
+
+        tp::ShardedPmLogDevice fresh(dcfg);
+        auto log = co_await fresh.RecoverLog(self);
+        EXPECT_TRUE(log.ok()) << log.status().ToString();
+        if (log.ok()) EXPECT_EQ(*log, fill(3000, 1));
+        done = true;
+      });
+  sim.Run();
+  sim.Shutdown();
+  EXPECT_TRUE(done);
 }
 
 }  // namespace

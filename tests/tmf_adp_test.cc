@@ -12,6 +12,7 @@
 #include "common/serialize.h"
 #include "db/txn_client.h"
 #include "nsk/cluster.h"
+#include "pm/client.h"
 #include "pm/manager.h"
 #include "pm/npmu.h"
 #include "sim/simulation.h"
@@ -394,14 +395,22 @@ std::vector<std::byte> MakeFrame(std::size_t payload_len, std::uint8_t fill) {
   return out;
 }
 
-TEST(PmLogTornWrite, ControlBlockNeverDurableBeforeItsData) {
-  // The §3.4 invariant under the piggybacked path: the control block rides
-  // the SAME chained RDMA op as the data, and the chain aborts all later
-  // segments when a packet fails its CRC check. Inject per-packet
-  // corruption until an append tears mid-chain, then "power fail" (drop
-  // all volatile state) and recover from the raw region: every byte the
-  // durable tail covers must be a whole, valid frame.
-  sim::Simulation sim(23);
+struct TornAppendRun {
+  std::uint64_t acked = 0;     // bytes of appends acknowledged durable
+  std::uint64_t torn_len = 0;  // length of the append that tore (0 = none)
+  std::uint64_t recovered_tail = 0;  // a fresh device's tail() afterwards
+  Result<std::vector<std::byte>> log = std::vector<std::byte>{};
+  std::vector<std::byte> ring;  // raw data ring, as recovery reads it
+};
+
+// Appends frames to a PM log with a `ring_bytes` data ring; from append
+// `corrupt_from` on, fabric packets are corrupted at `rate` until an
+// append tears (at most `max_appends` appends). Then "power fails" — the
+// writer's tail is volatile and gone — and a fresh device instance
+// recovers purely from the durable control block and ring contents.
+TornAppendRun RunTornAppend(std::uint64_t seed, std::uint64_t ring_bytes,
+                            int corrupt_from, int max_appends, double rate) {
+  sim::Simulation sim(seed);
   nsk::ClusterConfig ccfg;
   ccfg.num_cpus = 4;
   nsk::Cluster cluster(sim, ccfg);
@@ -418,59 +427,153 @@ TEST(PmLogTornWrite, ControlBlockNeverDurableBeforeItsData) {
   pmm_p.Start();
   pmm_b.Start();
 
-  std::uint64_t acked = 0;  // bytes of appends acknowledged durable
-  bool torn = false;
+  PmLogConfig cfg;
+  cfg.region_name = "torn-log";
+  cfg.region_bytes = ring_bytes;
+  TornAppendRun run;
   sim.Adopt<App>(cluster, 2, "writer", [&](App& self) -> Task<void> {
-    PmLogConfig cfg;
-    cfg.region_name = "torn-log";
-    cfg.region_bytes = 1ull << 20;
     PmLogDevice dev(cfg);
     EXPECT_TRUE((co_await dev.Open(self)).ok());
-    // Each ~600B frame is several packets (data + piggybacked control);
-    // a corrupted packet anywhere tears the chain at that point.
-    cluster.fabric().SetCorruptionRate(0.04);
-    for (int i = 0; i < 400 && !torn; ++i) {
+    // Each ~600B frame is several packets (data + control, plus a second
+    // data extent on wrap); a corrupted packet anywhere tears the chain
+    // at that point.
+    for (int i = 0; i < max_appends && run.torn_len == 0; ++i) {
+      if (i == corrupt_from) cluster.fabric().SetCorruptionRate(rate);
       std::vector<std::byte> frame =
           MakeFrame(600, static_cast<std::uint8_t>(i + 1));
       const std::uint64_t n = frame.size();
       auto st = co_await dev.Append(self, std::move(frame));
       if (st.ok()) {
-        acked += n;
+        run.acked += n;
       } else {
-        torn = true;  // power fails at the torn write
+        run.torn_len = n;  // power fails at the torn write
       }
     }
     cluster.fabric().SetCorruptionRate(0);
   });
   sim.RunFor(Seconds(30));
-  ASSERT_TRUE(torn) << "corruption never tore an append";
-  ASSERT_GT(acked, 0u);
-
-  // Power loss: the writer's tail and pipeline are volatile and gone. A
-  // fresh device instance recovers purely from the durable control block
-  // and ring contents.
-  std::vector<std::byte> img;
-  bool recovered = false;
+  if (run.torn_len == 0) {
+    sim.Shutdown();
+    return run;
+  }
   sim.Adopt<App>(cluster, 3, "recover", [&](App& self) -> Task<void> {
-    PmLogConfig cfg;
-    cfg.region_name = "torn-log";
-    cfg.region_bytes = 1ull << 20;
     PmLogDevice dev(cfg);
-    auto log = co_await dev.RecoverLog(self);
-    EXPECT_TRUE(log.ok()) << log.status().ToString();
-    if (log.ok()) {
-      img = std::move(*log);
-      recovered = true;
-    }
+    run.log = co_await dev.RecoverLog(self);
+    run.recovered_tail = dev.tail();
+    // The data ring sits behind the 64-byte control block.
+    pm::PmClient client(self, "$PMM");
+    auto region = co_await client.Open("torn-log");
+    EXPECT_TRUE(region.ok()) << region.status().ToString();
+    if (!region.ok()) co_return;
+    auto ring = co_await region->Read(64, ring_bytes);
+    EXPECT_TRUE(ring.ok()) << ring.status().ToString();
+    if (ring.ok()) run.ring = std::move(*ring);
   });
   sim.RunFor(Seconds(30));
-  ASSERT_TRUE(recovered);
+  sim.Shutdown();
+  return run;
+}
+
+TEST(PmLogTornWrite, ControlBlockNeverDurableBeforeItsData) {
+  // The §3.4 invariant: the control block rides the SAME chained RDMA op
+  // as the data, and the chain aborts all later segments when a packet
+  // fails its CRC check. Inject per-packet corruption until an append
+  // tears mid-chain, then power fail and recover from the raw region:
+  // every byte the durable tail covers must be a whole, valid frame.
+  const TornAppendRun run =
+      RunTornAppend(23, 1ull << 20, /*corrupt_from=*/0, 400, 0.04);
+  ASSERT_GT(run.torn_len, 0u) << "corruption never tore an append";
+  ASSERT_GT(run.acked, 0u);
+  ASSERT_TRUE(run.log.ok()) << run.log.status().ToString();
+  const std::vector<std::byte>& img = *run.log;
   // The invariant: the tail pointer is never durable before the data it
   // covers — the recovered prefix parses as whole valid frames, and no
   // acknowledged append is missing.
   EXPECT_EQ(ValidFramePrefix(img), img.size())
       << "durable tail covers bytes that never validly landed";
-  EXPECT_GE(img.size(), acked) << "an acknowledged append was lost";
+  EXPECT_GE(img.size(), run.acked) << "an acknowledged append was lost";
+
+  // The same invariant when the torn append wraps the ring: six 608-byte
+  // frames fill 3648 of a 4096-byte ring, so the seventh is one chain of
+  // [448-byte head extent, 160-byte wrapped extent, control]. Only that
+  // append runs under corruption; seeds whose seventh append survives are
+  // skipped. The recovered tail is the last acked tail, or that plus the
+  // torn append when the leg recovery reads (the primary) landed whole
+  // while its mirror tore — never a tail the chain order cannot produce.
+  // In the second case both wrapped extents must have landed before the
+  // control block: the ring holds the whole torn frame.
+  int torn_wraps = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const TornAppendRun wrap =
+        RunTornAppend(seed, 4096, /*corrupt_from=*/6, 7, 0.25);
+    if (wrap.torn_len == 0) continue;
+    ++torn_wraps;
+    ASSERT_EQ(wrap.acked, 6u * 608u) << "seed " << seed;
+    EXPECT_TRUE(wrap.recovered_tail == wrap.acked ||
+                wrap.recovered_tail == wrap.acked + wrap.torn_len)
+        << "seed " << seed << ": recovered tail " << wrap.recovered_tail
+        << ", acked " << wrap.acked << ", torn append " << wrap.torn_len;
+    if (wrap.recovered_tail == wrap.acked + wrap.torn_len) {
+      ASSERT_EQ(wrap.ring.size(), 4096u);
+      std::vector<std::byte> frame(
+          wrap.ring.begin() + static_cast<std::ptrdiff_t>(wrap.acked),
+          wrap.ring.end());
+      frame.insert(frame.end(), wrap.ring.begin(),
+                   wrap.ring.begin() +
+                       static_cast<std::ptrdiff_t>(wrap.torn_len - frame.size()));
+      EXPECT_EQ(ValidFramePrefix(frame), wrap.torn_len)
+          << "seed " << seed << ": control covers a torn wrapped extent";
+    }
+  }
+  EXPECT_GT(torn_wraps, 0) << "corruption never tore a wrapping append";
+}
+
+// --------------------------------------------- failed ADP cold recovery
+
+TEST(AdpColdRecovery, WrappedLogFailureIsCounted) {
+  // A PM log ring small enough to wrap cannot be recovered after a power
+  // loss ("log wrapped; full history not retained"). The ADP keeps
+  // serving from a fresh tail, so the failure must at least be counted.
+  sim::Simulation sim(19);
+  workload::RigConfig cfg;
+  cfg.num_files = 2;
+  cfg.partitions_per_file = 2;
+  cfg.num_adps = 1;
+  cfg.log_medium = LogMedium::kPm;
+  cfg.pm_device = workload::PmDeviceKind::kNpmuPair;
+  cfg.pm_log_region_bytes = 4096;
+  workload::Rig rig(sim, cfg);
+  sim.RunFor(Seconds(1));
+
+  int committed = 0;
+  sim.Adopt<App>(rig.cluster(), 2, "app", [&](App& self) -> Task<void> {
+    TxnClient client(self, rig.catalog());
+    for (int i = 0; i < 12; ++i) {
+      auto txn = co_await client.Begin();
+      if (!txn.ok()) continue;
+      if (!(co_await client.Insert(*txn, 0, static_cast<std::uint64_t>(i),
+                                   std::vector<std::byte>(512, std::byte{1})))
+               .ok()) {
+        continue;
+      }
+      if ((co_await client.Commit(*txn)).ok()) ++committed;
+    }
+  });
+  sim.RunFor(Seconds(30));
+  ASSERT_EQ(committed, 12);
+  ASSERT_GT(rig.adps()[0]->device().tail(), cfg.pm_log_region_bytes)
+      << "the audit trail must have wrapped its ring";
+  EXPECT_EQ(sim.metrics().FindCounter("adp.log_recovery_failures"), nullptr)
+      << "no failure is registered before one happens";
+
+  rig.PowerLoss();
+  sim.RunFor(Seconds(1));
+  rig.RestartAfterPowerLoss();
+  sim.RunFor(Seconds(20));
+  const Counter* failures =
+      sim.metrics().FindCounter("adp.log_recovery_failures");
+  ASSERT_NE(failures, nullptr);
+  EXPECT_EQ(failures->value(), 1u);
 }
 
 }  // namespace
